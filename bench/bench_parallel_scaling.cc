@@ -1,13 +1,13 @@
 /**
  * @file
- * Scaling benchmark for the parallel sharded phase-2 simulator.
+ * Scaling benchmark for sharded phase-2 replay.
  *
- * Traces every workload, picks the largest trace, and times the
- * sequential one-pass simulate() against parallelSimulate() at
- * 1/2/4/8 jobs (in-memory sharding) plus the streaming front end.
- * Every parallel result is checked counter-for-counter against the
- * sequential baseline before its time is reported — a wrong answer
- * fails the benchmark rather than producing a meaningless speedup.
+ * Traces every workload, picks the largest trace, and times inline
+ * simulate() against sharded simulate() at 2/4/8 jobs (plus jobs 1,
+ * the inline path again, as the in-run noise floor). Every sharded
+ * result is checked counter-for-counter against the inline baseline
+ * before its time is reported — a wrong answer fails the benchmark
+ * rather than producing a meaningless speedup.
  *
  * Emits BENCH_parallel.json into the working directory. Speedups are
  * only meaningful relative to hardware_concurrency, which the JSON
@@ -17,7 +17,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,9 +24,7 @@
 #include "bench_json.h"
 #include "report/table.h"
 #include "session/session.h"
-#include "sim/parallel_sim.h"
 #include "sim/simulator.h"
-#include "trace/trace_io.h"
 #include "workload/workload.h"
 
 namespace {
@@ -86,7 +83,6 @@ struct JobsRow
     double ms;
     double speedup;
     std::size_t shards;
-    std::size_t peakBufferedEvents;
 };
 
 } // namespace
@@ -120,12 +116,10 @@ main()
     std::vector<JobsRow> rows;
     bool all_identical = true;
     for (unsigned jobs : {1u, 2u, 4u, 8u}) {
-        sim::ParallelOptions opts;
-        opts.jobs = jobs;
-        sim::ParallelStats stats;
+        sim::ReplayStats stats;
         sim::SimResult par;
         double ms = bestOf(reps, [&] {
-            par = sim::parallelSimulate(trace, set, opts, &stats);
+            par = sim::simulate(trace, set, {.jobs = jobs}, &stats);
         });
         if (!resultsEqual(par, seq)) {
             std::fprintf(stderr,
@@ -134,45 +128,17 @@ main()
                          jobs);
             all_identical = false;
         }
-        rows.push_back({jobs, ms, seq_ms / ms, stats.shards,
-                        stats.peakBufferedEvents});
-    }
-
-    // Streaming front end at the default job count, via an in-memory
-    // encode (no filesystem dependency).
-    std::stringstream encoded;
-    trace::writeTrace(trace, encoded);
-    std::string bytes = encoded.str();
-    sim::ParallelStats stream_stats;
-    sim::SimResult stream_result;
-    double stream_ms = bestOf(reps, [&] {
-        std::stringstream in(bytes);
-        trace::TraceReader reader(in);
-        sim::ParallelOptions opts;
-        opts.jobs = 4;
-        stream_result = sim::parallelSimulate(reader, set, opts,
-                                              &stream_stats);
-    });
-    if (!resultsEqual(stream_result, seq)) {
-        std::fprintf(stderr, "FAIL: streaming parallel result "
-                             "diverges from sequential\n");
-        all_identical = false;
+        rows.push_back({jobs, ms, seq_ms / ms, stats.shards});
     }
 
     report::TextTable table;
-    table.header({"Configuration", "Time (ms)", "Speedup", "Shards",
-                  "Peak buffered events"});
-    table.row({"sequential", report::fmt(seq_ms, 2), "1.00", "-", "-"});
+    table.header({"Configuration", "Time (ms)", "Speedup", "Shards"});
+    table.row({"sequential", report::fmt(seq_ms, 2), "1.00", "-"});
     for (const auto &r : rows) {
         table.row({"parallel jobs=" + std::to_string(r.jobs),
                    report::fmt(r.ms, 2), report::fmt(r.speedup, 2),
-                   std::to_string(r.shards),
-                   std::to_string(r.peakBufferedEvents)});
+                   std::to_string(r.shards)});
     }
-    table.row({"streaming jobs=4", report::fmt(stream_ms, 2),
-               report::fmt(seq_ms / stream_ms, 2),
-               std::to_string(stream_stats.shards),
-               std::to_string(stream_stats.peakBufferedEvents)});
     std::fputs(table.render().c_str(), stdout);
 
     edb::benchhygiene::BenchJsonWriter writer("BENCH_parallel.json",
@@ -197,20 +163,13 @@ main()
         const auto &r = rows[i];
         std::fprintf(json,
                      "      {\"jobs\": %u, \"ms\": %.3f, "
-                     "\"speedup\": %.3f, \"shards\": %zu, "
-                     "\"peak_buffered_events\": %zu}%s\n",
+                     "\"speedup\": %.3f, \"shards\": %zu}%s\n",
                      r.jobs, r.ms, r.speedup, r.shards,
-                     r.peakBufferedEvents,
                      i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(json,
-                 "    ],\n"
-                 "    \"streaming\": {\"jobs\": 4, \"ms\": %.3f, "
-                 "\"speedup\": %.3f, \"shards\": %zu, "
-                 "\"peak_buffered_events\": %zu}\n"
-                 "  }",
-                 stream_ms, seq_ms / stream_ms, stream_stats.shards,
-                 stream_stats.peakBufferedEvents);
+                 "    ]\n"
+                 "  }");
     writer.close();
     std::printf("\nWrote BENCH_parallel.json\n");
 

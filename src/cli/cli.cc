@@ -25,7 +25,7 @@
 #include "report/table.h"
 #include "served/client.h"
 #include "session/session.h"
-#include "sim/parallel_sim.h"
+#include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 #include "trace/index_format.h"
 #include "trace/trace_io.h"
@@ -44,18 +44,6 @@ selectedProfile()
     if (env && std::strcmp(env, "host") == 0)
         return calib::measureHostProfile();
     return model::sparcStation2();
-}
-
-/** Run the phase-2 simulator with the selected degree of parallelism. */
-sim::SimResult
-simulateWithJobs(const trace::Trace &trace,
-                 const session::SessionSet &sessions, unsigned jobs)
-{
-    if (jobs == 1)
-        return sim::simulate(trace, sessions);
-    sim::ParallelOptions opts;
-    opts.jobs = jobs;
-    return sim::parallelSimulate(trace, sessions, opts);
 }
 
 /** Size of a file in bytes, or 0 if it cannot be opened. */
@@ -435,7 +423,7 @@ cmdSessions(const std::string &path, std::size_t top,
 {
     trace::Trace trace = trace::loadTrace(path);
     auto sessions = session::SessionSet::enumerate(trace);
-    auto sim = simulateWithJobs(trace, sessions, jobs);
+    auto sim = edb::sim::simulate(trace, sessions, {.jobs = jobs});
 
     std::vector<session::SessionId> ranked;
     for (session::SessionId id = 0; id < sessions.size(); ++id) {

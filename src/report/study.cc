@@ -6,8 +6,8 @@
 #include "report/study.h"
 
 #include "obs/obs.h"
-#include "sim/index_profile.h"
-#include "sim/parallel_sim.h"
+#include "sim/simulator.h"
+#include "trace/trace_io.h"
 #include "util/logging.h"
 
 namespace edb::report {
@@ -19,6 +19,14 @@ studyTrace(const trace::Trace &trace, const model::TimingProfile &timing,
     ProgramStudy study;
     study.program = trace.program;
     study.totalWrites = trace.totalWrites;
+    // A saved trace may carry no instruction estimate: that is bad
+    // input, not a broken invariant.
+    if (base_us <= 0 && trace.estimatedInstructions == 0) {
+        throw trace::TraceError(
+            "trace '" + trace.program +
+            "': header field estimatedInstructions is 0, so no base "
+            "time can be derived");
+    }
     study.baseUs = base_us > 0
                        ? base_us
                        : model::derivedBaseUs(trace.estimatedInstructions,
@@ -33,25 +41,9 @@ studyTrace(const trace::Trace &trace, const model::TimingProfile &timing,
     }
     {
         EDB_OBS_SPAN("study.simulate");
-        if (jobs == 1) {
-            study.sim = sim::simulate(trace, study.sessions);
-        } else {
-            sim::ParallelOptions opts;
-            opts.jobs = jobs;
-            study.sim =
-                sim::parallelSimulate(trace, study.sessions, opts);
-        }
+        study.sim = sim::simulate(trace, study.sessions, {.jobs = jobs});
     }
-
-#if EDB_OBS_ENABLED
-    {
-        // Exercise the runtime MonitorIndex over the same trace so
-        // every analyze run exports live shadow-directory counters
-        // (wms.index.* / wms.shadow.*) next to the simulator's.
-        EDB_OBS_SPAN("study.index_profile");
-        (void)sim::indexProfile(trace);
-    }
-#endif
+    EDB_OBS_SPAN("study.model");
 
     // Keep only sessions with at least one hit (Section 8).
     for (session::SessionId id = 0; id < study.sessions.size(); ++id) {

@@ -96,10 +96,12 @@ struct ProgramStudy
  * @param base_us      Base execution time in microseconds; pass 0 to
  *                     derive it from the trace's instruction estimate
  *                     and the profile's execution rate.
- * @param jobs         Simulation worker threads: 1 runs the
- *                     sequential one-pass simulator, more run the
- *                     sharded parallel one (bit-identical results),
- *                     0 picks a default from EDB_JOBS / the hardware.
+ * @param jobs         Simulation worker threads (sim::ReplayOptions):
+ *                     1 replays inline, more shard (bit-identical
+ *                     results), 0 picks a default from EDB_JOBS / the
+ *                     hardware.
+ * @throws trace::TraceError when base_us is 0 and the trace header
+ *                     carries no instruction estimate.
  */
 ProgramStudy studyTrace(const trace::Trace &trace,
                         const model::TimingProfile &timing,

@@ -2,11 +2,12 @@
  * @file
  * The shared phase-2 replay engine (internal to src/sim).
  *
- * Both the sequential one-pass simulate() and the sharded
- * parallelSimulate() workers replay the same event-processing logic;
- * this header holds that logic in one ReplayEngine class so the two
- * front ends cannot drift apart (the differential tests then pin the
- * engine itself to the per-session oracle).
+ * Inline simulate() and every shard worker replay the same
+ * event-processing logic; this header holds that logic in one
+ * ReplayEngine class so the modes cannot drift apart (the
+ * differential tests then pin the engine itself to the per-session
+ * oracle). Which blocks reach the engine at all is the block
+ * planner's decision (block_plan.h), not the engine's.
  *
  * The engine is built for the per-write fast path (DESIGN.md §9):
  *
@@ -51,7 +52,6 @@
 #include "obs/obs.h"
 #include "session/session.h"
 #include "sim/counters.h"
-#include "sim/relevance.h"
 #include "trace/trace.h"
 #include "trace/trace_format.h"
 #include "trace/trace_io.h"
@@ -280,7 +280,6 @@ class ReplayEngine
     reset()
     {
         live_.clear();
-        skip_pages_.clear();
         for (std::size_t i = 0; i < vmPageSizeCount; ++i) {
             pages_[i].clear();
             std::fill(page_filter_[i].begin(), page_filter_[i].end(),
@@ -316,7 +315,6 @@ class ReplayEngine
             // its session counts drain.
             if (sess.empty())
                 continue;
-            skip_pages_.add(r);
             for (std::size_t i = 0; i < vmPageSizeCount; ++i) {
                 auto [first, last] = pageSpan(r, vmPageSizes[i]);
                 for (Addr p = first; p <= last; ++p) {
@@ -397,50 +395,6 @@ class ReplayEngine
                           vmPageSizes[vmPageSizeCount - 1] ==
                       0,
                   "block summaries must nest the coarsest VM page");
-
-    /**
-     * True when any summary page in `runs` currently carries a
-     * *session-relevant* monitored object — one whose sessionsOf() is
-     * non-empty. Objects outside every session cannot contribute to
-     * any counter, so they do not block skipping even though they sit
-     * in the live map.
-     */
-    bool
-    anySummaryPageMonitored(const trace::PageRun *runs,
-                            std::size_t n) const
-    {
-        return skip_pages_.anyMonitored(runs, n);
-    }
-
-    /** Tree-descent twin of anySummaryPageMonitored() over one
-     *  sidecar-index node: true when the whole node (a pure-write
-     *  superblock whose merged runs miss every monitored page) can
-     *  skip in one decision (relevance.h indexNodeSkippable). */
-    bool
-    indexNodeSkippable(const trace::IndexNode &node) const
-    {
-        return sim::indexNodeSkippable(node, skip_pages_);
-    }
-
-    /**
-     * True when any session-relevant install among `ctl` lands on a
-     * summary page of `runs`. Complements anySummaryPageMonitored()
-     * for write-skipping a *mixed* block: the monitored set the
-     * block's writes can see is the pre-block set plus whatever the
-     * block itself installs (removes only shrink it), so a block
-     * whose write summary misses both replays its control events and
-     * folds its write count, bit-identically (DESIGN.md §11).
-     */
-    bool
-    anyInstallTouchesSummary(const Event *ctl, std::size_t n,
-                             const trace::PageRun *runs,
-                             std::size_t nruns) const
-    {
-        return anyInstallTouchesRuns(
-            ctl, n, runs, nruns, [this](ObjectId obj) {
-                return !sessions_.sessionsOf(obj).empty();
-            });
-    }
 
     /**
      * Account for a run of write events skipped without decoding:
@@ -554,7 +508,6 @@ class ReplayEngine
         // still-live session-less object.
         if (sess.empty())
             return;
-        skip_pages_.add(r);
         for (SessionId s : sess)
             ++result_.counters[s].installs;
         for (std::size_t i = 0; i < vmPageSizeCount; ++i) {
@@ -599,7 +552,6 @@ class ReplayEngine
         // page tables.
         if (sess.empty())
             return;
-        skip_pages_.remove(r);
         for (SessionId s : sess)
             ++result_.counters[s].removes;
         for (std::size_t i = 0; i < vmPageSizeCount; ++i) {
@@ -1111,17 +1063,6 @@ class ReplayEngine
         LiveAlloc(&live_pool_)};
     std::array<util::FlatMap<Addr, PageSessions>, vmPageSizeCount>
         pages_;
-    /**
-     * Summary pages (trace::summaryPageBytes granularity) -> count of
-     * live *session-relevant* objects touching them. Unlike pages_,
-     * which under a restricted session set still tracks session-less
-     * live objects, this tracker holds exactly the set the block-skip
-     * test must probe; the shared implementation (relevance.h) keeps
-     * it in lockstep with the parallel dispatcher and the query
-     * planner.
-     */
-    SummaryPageTracker skip_pages_;
-
     /** The replay cache, round-robin replacement. */
     std::array<CacheEntry, 4> cache_;
     /** Replay windows of cache_ (kept compact for the probe). */

@@ -710,6 +710,7 @@ saveTrace(const Trace &trace, const std::string &path,
 Trace
 loadTrace(const std::string &path)
 {
+    EDB_OBS_SPAN("trace.load");
     std::ifstream is(path, std::ios::binary);
     if (!is)
         parseError("cannot open '%s' for reading", path.c_str());

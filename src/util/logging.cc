@@ -3,7 +3,7 @@
  * Implementation of the logging primitives.
  *
  * Messages are formatted into a stack buffer and written to stderr
- * with one fwrite, so concurrent loggers (parallelSimulate workers,
+ * with one fwrite, so concurrent loggers (replay shard workers,
  * pool threads) never interleave mid-line. inform()/warn() honor the
  * EDB_LOG_LEVEL environment filter; fatal/panic always print.
  */

@@ -16,6 +16,7 @@
 #include "cli/cli.h"
 #include "obs/obs.h"
 #include "served/server.h"
+#include "trace/trace_io.h"
 
 namespace edb::cli {
 namespace {
@@ -178,6 +179,31 @@ TEST_F(CliTest, RunDispatchesAdvise)
     err.str("");
     EXPECT_EQ(run({"advise"}, out, err), 2);
     EXPECT_NE(err.str().find("usage:"), std::string::npos);
+}
+
+TEST_F(CliTest, ZeroInstructionEstimateIsATypedError)
+{
+    // A saved trace whose header carries no instruction estimate has
+    // no base time: every study command reports it and exits 1.
+    const std::string zeroed = ::testing::TempDir() + "/edb_cli_noinstr." +
+                               std::to_string(::getpid()) + ".trc";
+    trace::Trace t = trace::loadTrace(*path_);
+    t.estimatedInstructions = 0;
+    trace::saveTrace(t, zeroed);
+
+    for (std::vector<std::string> args :
+         {std::vector<std::string>{"analyze", zeroed},
+          std::vector<std::string>{"session", zeroed, "heap"},
+          std::vector<std::string>{"advise", zeroed}}) {
+        std::ostringstream out, err;
+        EXPECT_EQ(run(args, out, err), 1) << args[0];
+        EXPECT_NE(err.str().find("error: trace 'bps'"), std::string::npos)
+            << args[0] << ": " << err.str();
+        EXPECT_NE(err.str().find("estimatedInstructions"),
+                  std::string::npos)
+            << args[0] << ": " << err.str();
+    }
+    std::remove(zeroed.c_str());
 }
 
 /** The "matches: N ..." line of a query table/json rendering. */

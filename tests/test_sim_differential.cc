@@ -1,20 +1,20 @@
 /**
  * @file
- * Differential harness for the parallel sharded simulator.
+ * Differential harness for phase-2 replay.
  *
- * Three implementations of phase 2 exist, in increasing order of
- * sophistication:
+ * Phase 2 runs in two ways, pinned here to each other and to the
+ * paper's per-session replay:
  *
  *   simulateOneSession()  the paper's per-session replay (the oracle)
- *   simulate()            the sequential one-pass multi-session sweep
- *   parallelSimulate()    sharded workers + counter merge, in-memory
- *                         and streaming front ends
+ *   simulate()            the one-pass multi-session sweep, inline at
+ *                         jobs 1 and sharded (workers + counter merge)
+ *                         at any other job count, over an in-memory or
+ *                         a mapped v2 trace
  *
- * This suite pins them to each other, counter by counter: on
- * randomized traces across jobs in {1,2,4,8} and deliberately tiny
- * shard sizes (so events-per-shard and boundary snapshots are
- * exercised hard), and on all five real workload traces, where the
- * parallel result must be bit-identical to the sequential one.
+ * Counter by counter: on randomized traces across jobs in {1,2,4,8}
+ * and deliberately tiny shard sizes (so events-per-shard and boundary
+ * snapshots are exercised hard), and on all five real workload traces,
+ * where every mode must be bit-identical — block plan included.
  */
 
 #include <gtest/gtest.h>
@@ -26,9 +26,9 @@
 
 #include <unistd.h>
 
-#include "sim/parallel_sim.h"
 #include "sim/simulator.h"
 #include "testing/random_trace.h"
+#include "trace/index_format.h"
 #include "trace/trace_io.h"
 #include "workload/workload.h"
 
@@ -63,6 +63,24 @@ expectIdentical(const SimResult &got, const SimResult &want,
     }
 }
 
+/** Assert two session sets enumerate the same sessions and the same
+ *  object -> session index. */
+void
+expectSameSessions(const SessionSet &got, const SessionSet &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (session::SessionId s = 0; s < want.size(); ++s) {
+        const session::SessionInfo &g = got.session(s);
+        const session::SessionInfo &w = want.session(s);
+        ASSERT_EQ(g.type, w.type) << "session " << s;
+        ASSERT_EQ(g.object, w.object) << "session " << s;
+        ASSERT_EQ(g.function, w.function) << "session " << s;
+    }
+    ASSERT_EQ(got.objectCount(), want.objectCount());
+    for (trace::ObjectId o = 0; o < want.objectCount(); ++o)
+        ASSERT_EQ(got.sessionsOf(o), want.sessionsOf(o)) << "object " << o;
+}
+
 /** (seed, jobs) matrix over randomized traces. */
 class DifferentialRandom
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, unsigned>>
@@ -80,45 +98,47 @@ TEST_P(DifferentialRandom, ParallelMatchesSequential)
     // the single-shard fast path too.
     for (std::size_t shard : {std::size_t(7), std::size_t(64),
                               std::size_t(64) * 1024}) {
-        ParallelOptions opts;
-        opts.jobs = jobs;
-        opts.shardEvents = shard;
-        ParallelStats stats;
-        SimResult par = parallelSimulate(t, set, opts, &stats);
+        ReplayStats stats;
+        SimResult par =
+            simulate(t, set, {.jobs = jobs, .shardEvents = shard}, &stats);
         expectIdentical(par, seq, set, t);
+        // Shards are spans of the trace itself; jobs 1 replays inline.
         EXPECT_EQ(stats.shards,
-                  (t.events.size() + shard - 1) / shard);
+                  jobs == 1 ? 0 : (t.events.size() + shard - 1) / shard);
         EXPECT_EQ(stats.jobs, jobs);
     }
 }
 
 TEST_P(DifferentialRandom, StreamingMatchesSequential)
 {
+    // A trace streamed through the v1 container chunk by chunk, with
+    // its sessions enumerated from the streamed header alone, replays
+    // bit-identically to the in-memory original at every job count.
     auto [seed, jobs] = GetParam();
     trace::Trace t = randomTrace(seed * 31 + 7);
     SessionSet set = SessionSet::enumerate(t);
     SimResult seq = simulate(t, set);
 
     std::stringstream ss;
-    trace::writeTrace(t, ss);
+    trace::WriteOptions v1;
+    v1.format = trace::TraceFormat::V1Flat;
+    trace::writeTrace(t, ss, v1);
     trace::TraceReader reader(ss);
-
-    // Sessions enumerated straight from the streamed header must match
-    // the ones enumerated from the materialized trace.
     SessionSet streamed_set = SessionSet::enumerate(reader.registry());
-    ASSERT_EQ(streamed_set.size(), set.size());
+    expectSameSessions(streamed_set, set);
 
-    ParallelOptions opts;
-    opts.jobs = jobs;
-    opts.shardEvents = 128;
-    ParallelStats stats;
-    SimResult par = parallelSimulate(reader, streamed_set, opts, &stats);
-    expectIdentical(par, seq, set, t);
+    trace::Trace streamed;
+    streamed.totalWrites = t.totalWrites;
+    std::vector<trace::Event> chunk(128);
+    while (std::size_t n = reader.read(chunk.data(), chunk.size()))
+        streamed.events.insert(streamed.events.end(), chunk.begin(),
+                               chunk.begin() + (std::ptrdiff_t)n);
     EXPECT_TRUE(reader.done());
     EXPECT_EQ(reader.totalWrites(), t.totalWrites);
-    // The pipeline may never hold more than the in-flight shard
-    // window: (queued + executing + being-scanned) shards.
-    EXPECT_LE(stats.peakBufferedEvents, (2 * jobs + 1) * 128u);
+
+    SimResult par = simulate(streamed, streamed_set,
+                             {.jobs = jobs, .shardEvents = 128});
+    expectIdentical(par, seq, set, t);
 }
 
 TEST_P(DifferentialRandom, ParallelMatchesPerSessionOracle)
@@ -127,10 +147,7 @@ TEST_P(DifferentialRandom, ParallelMatchesPerSessionOracle)
     trace::Trace t = randomTrace(seed * 977 + 3, 400);
     SessionSet set = SessionSet::enumerate(t);
 
-    ParallelOptions opts;
-    opts.jobs = jobs;
-    opts.shardEvents = 51;
-    SimResult par = parallelSimulate(t, set, opts);
+    SimResult par = simulate(t, set, {.jobs = jobs, .shardEvents = 51});
 
     // The oracle replay is quadratic; spot-check a spread of sessions
     // rather than all of them (test_sim_property covers the full
@@ -173,26 +190,10 @@ TEST_P(DifferentialWorkload, ParallelBitIdenticalOnWorkloadTrace)
     SimResult seq = simulate(t, set);
 
     for (unsigned jobs : {1u, 2u, 4u, 8u}) {
-        ParallelOptions opts;
-        opts.jobs = jobs;
-        opts.shardEvents = 16 * 1024;
-        SimResult par = parallelSimulate(t, set, opts);
+        SimResult par =
+            simulate(t, set, {.jobs = jobs, .shardEvents = 16 * 1024});
         expectIdentical(par, seq, set, t);
     }
-
-    // Streaming front end once per workload (jobs=4): the round trip
-    // through the on-disk format plus sharded replay must also be
-    // bit-identical.
-    std::stringstream ss;
-    trace::writeTrace(t, ss);
-    trace::TraceReader reader(ss);
-    SessionSet streamed_set = SessionSet::enumerate(reader.registry());
-    ASSERT_EQ(streamed_set.size(), set.size());
-    ParallelOptions opts;
-    opts.jobs = 4;
-    opts.shardEvents = 16 * 1024;
-    SimResult par = parallelSimulate(reader, streamed_set, opts);
-    expectIdentical(par, seq, set, t);
 }
 
 TEST_P(DifferentialWorkload, SequentialMatchesOracleOnWorkloadTrace)
@@ -230,7 +231,7 @@ TEST_P(DifferentialWorkload, SequentialMatchesOracleOnWorkloadTrace)
     }
 }
 
-/** RAII v2 artifact of a trace, for the mapped front ends. */
+/** RAII v2 artifact of a trace, for mapped replay. */
 class SavedV2
 {
   public:
@@ -256,26 +257,27 @@ TEST_P(DifferentialWorkload, MappedBlockSkipBitIdenticalOnFullSet)
 
     SavedV2 saved(t);
     trace::MappedTrace mapped(saved.path());
+    // Sessions enumerated from the mapped header alone match the ones
+    // enumerated from the materialized trace.
+    expectSameSessions(SessionSet::enumerate(mapped.registry()), set);
 
     // The block-skip replay must be bit-identical to the in-memory
     // sweep — on the full session set the skip rarely fires (almost
     // every page is monitored somewhere), which pins the "don't skip
     // when you must not" side.
-    BlockSkipStats stats;
-    SimResult ms = simulate(mapped, set, &stats);
+    ReplayStats stats;
+    SimResult ms = simulate(mapped, set, {}, &stats);
     expectIdentical(ms, seq, set, t);
     ASSERT_TRUE(ms == seq);
     EXPECT_EQ(stats.blocksTotal, mapped.blockCount());
     EXPECT_LE(stats.blocksSkipped + stats.blocksControlOnly,
               stats.blocksTotal);
 
-    // The block-sharded parallel front end, across the jobs matrix.
+    // Block-sharded replay, across the jobs matrix.
     for (unsigned jobs : {1u, 2u, 4u, 8u}) {
-        ParallelOptions opts;
-        opts.jobs = jobs;
-        opts.shardEvents = 16 * 1024;
-        ParallelStats pstats;
-        SimResult par = parallelSimulate(mapped, set, opts, &pstats);
+        ReplayStats pstats;
+        SimResult par = simulate(
+            mapped, set, {.jobs = jobs, .shardEvents = 16 * 1024}, &pstats);
         expectIdentical(par, seq, set, t);
         ASSERT_TRUE(par == seq) << "jobs " << jobs;
         EXPECT_EQ(pstats.jobs, jobs);
@@ -310,8 +312,7 @@ TEST_P(DifferentialWorkload, SparseSubsetSkipMatchesFullRunAndOracle)
 
     for (const auto &keep : keeps) {
         SessionSet sub = set.subset(keep);
-        BlockSkipStats stats;
-        SimResult ms = simulate(mapped, sub, &stats);
+        SimResult ms = simulate(mapped, sub);
         ASSERT_EQ(ms.totalWrites, seq.totalWrites);
         ASSERT_EQ(ms.counters.size(), keep.size());
         for (std::size_t i = 0; i < keep.size(); ++i) {
@@ -321,10 +322,8 @@ TEST_P(DifferentialWorkload, SparseSubsetSkipMatchesFullRunAndOracle)
         }
 
         for (unsigned jobs : {1u, 2u, 4u, 8u}) {
-            ParallelOptions opts;
-            opts.jobs = jobs;
-            opts.shardEvents = 16 * 1024;
-            SimResult par = parallelSimulate(mapped, sub, opts);
+            SimResult par = simulate(
+                mapped, sub, {.jobs = jobs, .shardEvents = 16 * 1024});
             ASSERT_TRUE(par == ms)
                 << "jobs " << jobs << " subset of " << keep.size();
         }
@@ -337,6 +336,63 @@ TEST_P(DifferentialWorkload, SparseSubsetSkipMatchesFullRunAndOracle)
     SessionCounters oracle = simulateOneSession(t, set, singles.back());
     ASSERT_TRUE(ms.counters[0] == oracle)
         << set.describe(singles.back(), t);
+}
+
+TEST_P(DifferentialWorkload, OnePlanAtEveryJobCount)
+{
+    auto w = workload::makeWorkload(GetParam());
+    trace::Trace t = workload::runTraced(*w);
+    SessionSet set = SessionSet::enumerate(t);
+    SimResult seq = simulate(t, set);
+
+    // A sparse subset, so the plan has skips of every kind to agree on.
+    std::vector<session::SessionId> keep;
+    for (session::SessionId s = set.size() / 3; s < set.size(); s += 97)
+        keep.push_back(s);
+    SessionSet sub = set.subset(keep);
+
+    SavedV2 saved(t);
+    const trace::MappedTrace plain(saved.path());
+    ASSERT_EQ(plain.index(), nullptr);
+    const std::string sidecar = saved.path() + ".plan.edbi";
+    {
+        trace::TraceIndex idx = trace::buildTraceIndex(plain);
+        trace::saveTraceIndex(idx, sidecar);
+    }
+    trace::MappedTrace indexed(saved.path());
+    const bool attached = indexed.openIndex(sidecar);
+    std::remove(sidecar.c_str());
+    ASSERT_TRUE(attached);
+
+    ReplayStats want;
+    const SimResult ref = simulate(plain, sub, {}, &want);
+    for (std::size_t i = 0; i < keep.size(); ++i)
+        ASSERT_TRUE(ref.counters[i] == seq.counters[keep[i]])
+            << set.describe(keep[i], t);
+    EXPECT_GT(want.blocksSkipped + want.blocksControlOnly, 0u);
+
+    const trace::MappedTrace *handles[] = {&plain, &indexed};
+    for (const trace::MappedTrace *m : handles) {
+        const char *tag = m->index() ? "indexed" : "plain";
+        for (unsigned jobs : {1u, 2u, 4u, 8u}) {
+            for (std::size_t shard : {std::size_t(1), std::size_t(51),
+                                      std::size_t(16384)}) {
+                ReplayStats got;
+                const SimResult r = simulate(
+                    *m, sub, {.jobs = jobs, .shardEvents = shard}, &got);
+                ASSERT_TRUE(r == ref) << tag << " jobs " << jobs
+                                      << " shard " << shard;
+                EXPECT_EQ(got.blocksTotal, want.blocksTotal) << tag;
+                EXPECT_EQ(got.blocksSkipped, want.blocksSkipped)
+                    << tag << " jobs " << jobs << " shard " << shard;
+                EXPECT_EQ(got.blocksControlOnly, want.blocksControlOnly)
+                    << tag << " jobs " << jobs << " shard " << shard;
+                EXPECT_EQ(got.writesSkipped, want.writesSkipped)
+                    << tag << " jobs " << jobs << " shard " << shard;
+                EXPECT_EQ(got.jobs, jobs);
+            }
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

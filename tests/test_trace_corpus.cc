@@ -108,8 +108,8 @@ TEST(TraceCorpus, WritesV2KeepsBlockShapeAndSkipsUnderSparseSession)
     }
     ASSERT_TRUE(found);
     session::SessionSet sub = set.subset({study});
-    sim::BlockSkipStats skip;
-    sim::SimResult mapped_result = sim::simulate(mapped, sub, &skip);
+    sim::ReplayStats skip;
+    sim::SimResult mapped_result = sim::simulate(mapped, sub, {}, &skip);
     EXPECT_GT(skip.blocksSkipped, 0u);
     EXPECT_TRUE(mapped_result == sim::simulate(t, sub));
 }

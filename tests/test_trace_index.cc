@@ -22,7 +22,6 @@
 #include "obs/obs.h"
 #include "query/query.h"
 #include "session/session.h"
-#include "sim/parallel_sim.h"
 #include "sim/simulator.h"
 #include "testing/random_trace.h"
 #include "trace/index_format.h"
@@ -408,15 +407,11 @@ checkAllStates(const Trace &t, const char *tag)
             base[si].push_back(bl);
         }
     }
-    sim::BlockSkipStats skip_ref;
-    const sim::SimResult sim_ref = sim::simulate(plain, set, &skip_ref);
+    sim::ReplayStats skip_ref;
+    const sim::SimResult sim_ref = sim::simulate(plain, set, {}, &skip_ref);
     std::vector<sim::SimResult> psim_ref;
-    for (unsigned jobs : {1u, 2u, 4u, 8u}) {
-        sim::ParallelOptions po;
-        po.jobs = jobs;
-        psim_ref.push_back(
-            sim::parallelSimulate(plain, set, po, nullptr));
-    }
+    for (unsigned jobs : {1u, 2u, 4u, 8u})
+        psim_ref.push_back(sim::simulate(plain, set, {.jobs = jobs}));
 
     for (SidecarState state :
          {SidecarState::Fresh, SidecarState::Stale,
@@ -477,8 +472,8 @@ checkAllStates(const Trace &t, const char *tag)
             }
         }
 
-        sim::BlockSkipStats skip;
-        const sim::SimResult s = sim::simulate(m, set, &skip);
+        sim::ReplayStats skip;
+        const sim::SimResult s = sim::simulate(m, set, {}, &skip);
         ASSERT_TRUE(s == sim_ref) << stateName(state) << " simulate";
         EXPECT_EQ(skip.blocksSkipped, skip_ref.blocksSkipped)
             << stateName(state);
@@ -488,9 +483,7 @@ checkAllStates(const Trace &t, const char *tag)
             << stateName(state);
         std::size_t pi = 0;
         for (unsigned jobs : {1u, 2u, 4u, 8u}) {
-            sim::ParallelOptions po;
-            po.jobs = jobs;
-            ASSERT_TRUE(sim::parallelSimulate(m, set, po, nullptr) ==
+            ASSERT_TRUE(sim::simulate(m, set, {.jobs = jobs}) ==
                         psim_ref[pi++])
                 << stateName(state) << " parallel jobs " << jobs;
         }

@@ -147,17 +147,6 @@ TEST(TraceReaderTrailer, WriteCountMismatchIsAParseError)
     EXPECT_THROW((void)readTrace(ss), TraceError);
 }
 
-TEST(TraceReaderErrors, FreshReaderRequiredByStreamingContract)
-{
-    Trace original = randomTrace(9);
-    std::string bytes = encode(original);
-    std::stringstream ss(bytes);
-    TraceReader reader(ss);
-    std::vector<Event> buf(16);
-    ASSERT_GT(reader.read(buf.data(), buf.size()), 0u);
-    EXPECT_GT(reader.eventsRead(), 0u);
-}
-
 /**
  * Byte-flip fuzzing: a corrupted trace must either load (the flip
  * landed somewhere semantically inert) or raise TraceError — never
