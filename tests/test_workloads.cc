@@ -9,6 +9,7 @@
 
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "report/study.h"
@@ -94,6 +95,16 @@ struct Profile
     bool has_heap_sessions;
     std::size_t min_sessions;
 };
+
+/**
+ * Print a Profile by program name. Without this gtest dumps the raw
+ * bytes, which include the name's pointer, so the test names that
+ * ctest derives from the value change with every process.
+ */
+void PrintTo(const Profile &p, std::ostream *os)
+{
+    *os << '"' << p.name << '"';
+}
 
 class WorkloadProfile : public ::testing::TestWithParam<Profile>
 {
