@@ -26,7 +26,6 @@
 #include "served/client.h"
 #include "session/session.h"
 #include "sim/simulator.h"
-#include "telemetry/telemetry.h"
 #include "trace/index_format.h"
 #include "trace/trace_io.h"
 #include "util/thread_pool.h"
@@ -130,7 +129,7 @@ usage()
            "(same as --count 1)\n"
            "  --format F         table|json (default table; json "
            "prints the daemon's\n"
-           "                     edb-metrics-v1 document verbatim, "
+           "                     edb-metrics-v2 document verbatim, "
            "one per poll)\n"
            "\n"
            "query options:\n"
@@ -649,27 +648,6 @@ eventKindName(trace::EventKind kind)
     return "?";
 }
 
-/** Minimal JSON string escaping (quotes, backslash, control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if ((unsigned char)c < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", (unsigned)c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 std::string
 fmtHex(Addr a)
 {
@@ -780,7 +758,7 @@ renderQueryJson(const query::QuerySpec &spec, const QueryRun &run,
 {
     const auto &st = run.stats;
     out << "{\"schema\":\"edb-query-v1\""
-        << ",\"program\":\"" << jsonEscape(run.program) << "\""
+        << ",\"program\":\"" << obs::jsonEscape(run.program) << "\""
         << ",\"agg\":\"" << query::aggName(spec.agg) << "\""
         << ",\"matches\":" << run.result.matches
         << ",\"blocks\":{\"total\":" << st.blocksTotal
@@ -807,7 +785,7 @@ renderQueryJson(const query::QuerySpec &spec, const QueryRun &run,
                 out << ",";
             out << "{\"session\":" << spec.sessions[i]
                 << ",\"description\":\""
-                << jsonEscape(run.sessionDescs[i])
+                << obs::jsonEscape(run.sessionDescs[i])
                 << "\",\"count\":" << run.result.sessionCounts[i]
                 << "}";
         }
@@ -1249,10 +1227,10 @@ fmtUs(double ns)
 }
 
 const std::string *
-labelValue(const std::vector<telemetry::Label> &labels,
+labelValue(const std::vector<obs::Label> &labels,
            const char *key)
 {
-    for (const telemetry::Label &l : labels) {
+    for (const obs::Label &l : labels) {
         if (l.key == key)
             return &l.value;
     }

@@ -1,13 +1,15 @@
 /**
  * @file
- * The obs registry: shard lifecycle (adopt / retire / recycle),
- * instrument interning, the snapshot merge, and JSON export.
+ * The obs registry: shard lifecycle (adopt / retire / recycle), the
+ * one intern namespace of (name, labels) identities with its
+ * cardinality cap and per-(name, kind) overflow series, family sums,
+ * and the snapshot merge.
  *
  * The registry is an intentionally leaked singleton: detached threads
  * and atexit hooks may touch instruments after main() returns, and a
  * destructed registry would turn those into use-after-free. ~30KB of
- * shards is a fair price for never having to reason about static
- * destruction order.
+ * shards plus capped labeled cells is a fair price for never having
+ * to reason about static destruction order.
  */
 
 #include "obs/obs.h"
@@ -16,12 +18,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <map>
+#include <memory>
 #include <mutex>
-#include <ostream>
-#include <vector>
+#include <stdexcept>
+#include <utility>
 
 #include <unistd.h>
 
@@ -33,24 +35,21 @@ constinit thread_local Shard *t_shard = nullptr;
 
 namespace {
 
-/** Plain (non-atomic) accumulation of shards whose threads exited. */
-struct RetiredSums
+/** One interned (name, labels) identity. Never freed. */
+struct Entry
 {
-    std::int64_t scalars[maxScalars] = {};
-    struct Hist
-    {
-        std::uint64_t count = 0;
-        std::uint64_t sum = 0;
-        std::uint64_t min = ~std::uint64_t{0};
-        std::uint64_t max = 0;
-        std::uint64_t buckets[histBuckets] = {};
-    } hists[maxHistograms];
-};
+    /** Where the value lives: a label-less shard slot, a labeled
+     *  shared cell, or the sum of a labeled family. */
+    enum class Store : std::uint8_t { Slot, Cell, Sum };
 
-struct Instrument
-{
     std::string name;
-    std::uint32_t slot;
+    std::vector<Label> labels;
+    Kind kind = Kind::Counter;
+    Store store = Store::Slot;
+    std::uint32_t slot = 0;                           ///< Store::Slot
+    std::unique_ptr<std::atomic<std::int64_t>> value; ///< scalar Cell
+    std::unique_ptr<AtomicHist> hist;                 ///< histogram Cell
+    std::string family;                               ///< Store::Sum
 };
 
 class Registry
@@ -83,41 +82,33 @@ class Registry
 
     Shard &fallback() { return *fallback_; }
 
-    std::uint32_t
-    internScalar(const char *name, bool is_gauge)
+    /**
+     * The one intern point. Returns the existing entry of (name,
+     * labels) — rejecting a kind or storage conflict — or registers
+     * it: label-less identities take a shard slot, labeled ones a
+     * cell while under the cardinality cap and otherwise fall back to
+     * the overflow series of their (name, kind).
+     */
+    Entry &
+    intern(const std::string &name, const std::vector<Label> &labels,
+           Kind kind, const char *family = nullptr)
     {
         std::lock_guard<std::mutex> lk(mu_);
-        auto &table = is_gauge ? gauges_ : counters_;
-        auto &other = is_gauge ? counters_ : gauges_;
-        for (const Instrument &i : other) {
-            EDB_ASSERT(i.name != name,
-                       "obs instrument '%s' registered as both "
-                       "counter and gauge", name);
-        }
-        for (const Instrument &i : table) {
-            if (i.name == name)
-                return i.slot;
-        }
-        EDB_ASSERT(next_scalar_ < maxScalars,
-                   "obs registry out of scalar slots (%zu); raise "
-                   "obs::maxScalars", maxScalars);
-        table.push_back({name, next_scalar_});
-        return next_scalar_++;
+        return internLocked(name, labels, kind, family, false);
     }
 
-    std::uint32_t
-    internHistogram(const char *name)
+    std::size_t
+    labeledCount()
     {
         std::lock_guard<std::mutex> lk(mu_);
-        for (const Instrument &i : histograms_) {
-            if (i.name == name)
-                return i.slot;
-        }
-        EDB_ASSERT(next_hist_ < maxHistograms,
-                   "obs registry out of histogram slots (%zu); raise "
-                   "obs::maxHistograms", maxHistograms);
-        histograms_.push_back({name, next_hist_});
-        return next_hist_++;
+        return labeled_;
+    }
+
+    std::size_t
+    setMaxSeries(std::size_t cap)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return std::exchange(max_series_, cap);
     }
 
     void
@@ -138,10 +129,11 @@ class Registry
     }
 
     /**
-     * Fold a dying thread's shard into the retired sums and recycle
+     * Fold a dying thread's shard into the fallback shard and recycle
      * it, so total footprint tracks peak concurrency, not the number
-     * of threads ever created. The mutex excludes snapshots, so no
-     * value is counted twice or dropped.
+     * of threads ever created. The fold is atomic adds (signal-context
+     * increments may race on the fallback shard); the mutex excludes
+     * snapshots, so no value is counted twice or dropped.
      */
     void
     retireCurrentThread()
@@ -152,35 +144,12 @@ class Registry
         t_shard = nullptr;
         std::lock_guard<std::mutex> lk(mu_);
         for (std::size_t i = 0; i < maxScalars; ++i) {
-            retired_.scalars[i] +=
-                s->scalars[i].exchange(0, std::memory_order_relaxed);
+            fallback_->scalars[i].fetch_add(
+                s->scalars[i].exchange(0, std::memory_order_relaxed),
+                std::memory_order_relaxed);
         }
-        for (std::size_t h = 0; h < maxHistograms; ++h) {
-            Shard::Hist &src = s->hists[h];
-            RetiredSums::Hist &dst = retired_.hists[h];
-            const std::uint64_t count =
-                src.count.exchange(0, std::memory_order_relaxed);
-            if (count > 0) {
-                dst.count += count;
-                dst.sum +=
-                    src.sum.exchange(0, std::memory_order_relaxed);
-                dst.min = std::min(
-                    dst.min,
-                    src.min.load(std::memory_order_relaxed));
-                dst.max = std::max(
-                    dst.max,
-                    src.max.load(std::memory_order_relaxed));
-                for (std::size_t b = 0; b < histBuckets; ++b) {
-                    dst.buckets[b] += src.buckets[b].exchange(
-                        0, std::memory_order_relaxed);
-                }
-            } else {
-                src.sum.store(0, std::memory_order_relaxed);
-            }
-            src.min.store(~std::uint64_t{0},
-                          std::memory_order_relaxed);
-            src.max.store(0, std::memory_order_relaxed);
-        }
+        for (std::size_t h = 0; h < maxHistograms; ++h)
+            s->hists[h].drainInto(fallback_->hists[h]);
         free_.push_back(s);
     }
 
@@ -197,11 +166,10 @@ class Registry
                           .count();
         snap.uptimeNs = monotonicNs() - start_ns_;
         snap.pid = (std::int64_t)::getpid();
+        snap.samples = 1;
 
-        // Merge per-slot first, then attach names.
+        // Merge the shards per slot first; entries attach names.
         std::vector<std::int64_t> scalars(next_scalar_, 0);
-        for (std::size_t i = 0; i < next_scalar_; ++i)
-            scalars[i] = retired_.scalars[i];
         for (const Shard *s : shards_) {
             for (std::size_t i = 0; i < next_scalar_; ++i) {
                 scalars[i] +=
@@ -209,73 +177,126 @@ class Registry
             }
         }
 
-        snap.counters.reserve(counters_.size());
-        for (const Instrument &i : counters_)
-            snap.counters.emplace_back(i.name, scalars[i.slot]);
-        snap.gauges.reserve(gauges_.size());
-        for (const Instrument &i : gauges_)
-            snap.gauges.emplace_back(i.name, scalars[i.slot]);
-
-        snap.histograms.reserve(histograms_.size());
-        for (const Instrument &i : histograms_) {
-            HistogramValue hv;
-            hv.name = i.name;
-            hv.buckets.assign(histBuckets, 0);
-            std::uint64_t mn = ~std::uint64_t{0};
-            std::uint64_t mx = 0;
-            const RetiredSums::Hist &r = retired_.hists[i.slot];
-            hv.count = r.count;
-            hv.sum = r.sum;
-            mn = std::min(mn, r.min);
-            mx = std::max(mx, r.max);
-            for (std::size_t b = 0; b < histBuckets; ++b)
-                hv.buckets[b] = r.buckets[b];
-            for (const Shard *s : shards_) {
-                const Shard::Hist &h = s->hists[i.slot];
-                const std::uint64_t count =
-                    h.count.load(std::memory_order_relaxed);
-                if (count == 0)
-                    continue;
-                hv.count += count;
-                hv.sum += h.sum.load(std::memory_order_relaxed);
-                mn = std::min(mn,
-                              h.min.load(std::memory_order_relaxed));
-                mx = std::max(mx,
-                              h.max.load(std::memory_order_relaxed));
-                for (std::size_t b = 0; b < histBuckets; ++b) {
-                    hv.buckets[b] += h.buckets[b].load(
-                        std::memory_order_relaxed);
+        // Entries iterate in key order, which is (name, labels)
+        // order: the snapshot comes out sorted.
+        std::vector<std::pair<std::size_t, const std::string *>> sums;
+        for (const auto &[key, e] : entries_) {
+            if (e.kind == Kind::Histogram) {
+                HistogramValue hv;
+                hv.name = e.name;
+                hv.labels = e.labels;
+                hv.buckets.assign(histBuckets, 0);
+                if (e.store == Entry::Store::Cell) {
+                    e.hist->addTo(hv);
+                } else {
+                    for (const Shard *s : shards_)
+                        s->hists[e.slot].addTo(hv);
                 }
+                snap.histograms.push_back(std::move(hv));
+                continue;
             }
-            hv.min = hv.count > 0 ? mn : 0;
-            hv.max = mx;
-            snap.histograms.push_back(std::move(hv));
+            ScalarValue sv;
+            sv.name = e.name;
+            sv.labels = e.labels;
+            sv.kind = e.kind;
+            switch (e.store) {
+              case Entry::Store::Slot:
+                sv.value = scalars[e.slot];
+                break;
+              case Entry::Store::Cell:
+                sv.value = e.value->load(std::memory_order_relaxed);
+                break;
+              case Entry::Store::Sum:
+                sums.emplace_back(snap.series.size(), &e.family);
+                break;
+            }
+            snap.series.push_back(std::move(sv));
         }
 
-        auto byName = [](const auto &a, const auto &b) {
-            return a.first < b.first;
-        };
-        std::sort(snap.counters.begin(), snap.counters.end(), byName);
-        std::sort(snap.gauges.begin(), snap.gauges.end(), byName);
-        std::sort(snap.histograms.begin(), snap.histograms.end(),
-                  [](const HistogramValue &a, const HistogramValue &b) {
-                      return a.name < b.name;
-                  });
+        // Family sums read the values just merged, so a sum equals
+        // the total of its family's series in the same snapshot.
+        for (const auto &[at, family] : sums) {
+            std::int64_t total = 0;
+            for (const ScalarValue &sv : snap.series) {
+                if (sv.name == *family && !sv.labels.empty())
+                    total += sv.value;
+            }
+            snap.series[at].value = total;
+        }
         return snap;
     }
 
   private:
+    Entry &
+    internLocked(const std::string &name,
+                 const std::vector<Label> &labels, Kind kind,
+                 const char *family, bool overflow)
+    {
+        const Entry::Store store =
+            family != nullptr ? Entry::Store::Sum
+                : (labels.empty() ? Entry::Store::Slot
+                                  : Entry::Store::Cell);
+        std::string key = detail::seriesKey(name, labels);
+        auto it = entries_.find(key);
+        if (it != entries_.end()) {
+            const Entry &e = it->second;
+            if (e.kind != kind || e.store != store) {
+                throw std::invalid_argument(
+                    "obs series '" + name +
+                    "' already registered with a different kind");
+            }
+            return it->second;
+        }
+        if (store == Entry::Store::Cell && !overflow &&
+            labeled_ >= max_series_) {
+            // Cardinality cap: degrade to this (name, kind)'s overflow
+            // series rather than aborting — unattributed, but alive,
+            // and still counted in the family's sum.
+            return internLocked(name, {{"overflow", "1"}}, kind,
+                                nullptr, true);
+        }
+
+        Entry e;
+        e.name = name;
+        e.labels = labels;
+        e.kind = kind;
+        e.store = store;
+        if (store == Entry::Store::Slot) {
+            if (kind == Kind::Histogram) {
+                EDB_ASSERT(next_hist_ < maxHistograms,
+                           "obs registry out of histogram slots (%zu); "
+                           "raise obs::maxHistograms", maxHistograms);
+                e.slot = next_hist_++;
+            } else {
+                EDB_ASSERT(next_scalar_ < maxScalars,
+                           "obs registry out of scalar slots (%zu); "
+                           "raise obs::maxScalars", maxScalars);
+                e.slot = next_scalar_++;
+            }
+        } else if (store == Entry::Store::Cell) {
+            if (kind == Kind::Histogram)
+                e.hist = std::make_unique<AtomicHist>();
+            else
+                e.value = std::make_unique<std::atomic<std::int64_t>>(0);
+            if (!overflow)
+                ++labeled_;
+        } else {
+            e.family = family;
+        }
+        return entries_.emplace(std::move(key), std::move(e))
+            .first->second;
+    }
+
     std::mutex mu_;
     std::uint64_t start_ns_ = 0;
     Shard *fallback_;
     std::vector<Shard *> shards_; ///< every shard ever created
     std::vector<Shard *> free_;   ///< retired shards ready for reuse
-    RetiredSums retired_;
-    std::vector<Instrument> counters_;
-    std::vector<Instrument> gauges_;
-    std::vector<Instrument> histograms_;
+    std::map<std::string, Entry> entries_; ///< by seriesKey()
     std::size_t next_scalar_ = 0;
     std::size_t next_hist_ = 0;
+    std::size_t labeled_ = 0; ///< labeled cells, overflow excluded
+    std::size_t max_series_ = defaultMaxSeries;
 };
 
 Registry &
@@ -291,30 +312,34 @@ struct ShardRetirer
     ~ShardRetirer() { registry().retireCurrentThread(); }
 };
 
-/** Escape a string into a JSON literal (without the quotes). */
-std::string
-jsonEscape(const std::string &s)
+/** Canonicalize and validate a label set (see TelemetryDomain). */
+std::vector<Label>
+normalizeLabels(std::vector<Label> labels)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if ((unsigned char)c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+    if (labels.size() > maxLabelsPerDomain) {
+        throw std::invalid_argument(
+            "obs domain has " + std::to_string(labels.size()) +
+            " labels; the cap is " +
+            std::to_string(maxLabelsPerDomain));
+    }
+    for (Label &l : labels) {
+        if (l.key.empty())
+            throw std::invalid_argument("obs label key is empty");
+        if (l.value.size() > maxLabelValueBytes)
+            l.value.resize(maxLabelValueBytes);
+    }
+    std::sort(labels.begin(), labels.end(),
+              [](const Label &a, const Label &b) {
+                  return a.key < b.key;
+              });
+    for (std::size_t i = 1; i < labels.size(); ++i) {
+        if (labels[i - 1].key == labels[i].key) {
+            throw std::invalid_argument("obs label key '" +
+                                        labels[i].key +
+                                        "' appears twice");
         }
     }
-    return out;
+    return labels;
 }
 
 } // namespace
@@ -322,15 +347,9 @@ jsonEscape(const std::string &s)
 namespace detail {
 
 std::uint32_t
-internScalar(const char *name, bool is_gauge)
+internSlot(const char *name, Kind kind)
 {
-    return registry().internScalar(name, is_gauge);
-}
-
-std::uint32_t
-internHistogram(const char *name)
-{
-    return registry().internHistogram(name);
+    return registry().intern(name, {}, kind).slot;
 }
 
 Shard &
@@ -339,7 +358,59 @@ fallbackShard()
     return registry().fallback();
 }
 
+/** The separator cannot appear in a sane name and is harmless if it
+ *  does — worst case two exotic names alias one series. */
+std::string
+seriesKey(const std::string &name, const std::vector<Label> &labels)
+{
+    std::string key = name;
+    for (const Label &l : labels) {
+        key += '\x1f';
+        key += l.key;
+        key += '\x1f';
+        key += l.value;
+    }
+    return key;
+}
+
 } // namespace detail
+
+void
+AtomicHist::drainInto(AtomicHist &dst) noexcept
+{
+    const std::uint64_t n = count.exchange(0, std::memory_order_relaxed);
+    const std::uint64_t s = sum.exchange(0, std::memory_order_relaxed);
+    const std::uint64_t mn =
+        min.exchange(~std::uint64_t{0}, std::memory_order_relaxed);
+    const std::uint64_t mx = max.exchange(0, std::memory_order_relaxed);
+    if (n == 0)
+        return;
+    for (std::size_t b = 0; b < histBuckets; ++b) {
+        dst.buckets[b].fetch_add(
+            buckets[b].exchange(0, std::memory_order_relaxed),
+            std::memory_order_relaxed);
+    }
+    dst.count.fetch_add(n, std::memory_order_relaxed);
+    dst.sum.fetch_add(s, std::memory_order_relaxed);
+    lower(dst.min, mn);
+    raise(dst.max, mx);
+}
+
+void
+AtomicHist::addTo(HistogramValue &hv) const
+{
+    const std::uint64_t n = count.load(std::memory_order_relaxed);
+    if (n == 0)
+        return;
+    const std::uint64_t mn = min.load(std::memory_order_relaxed);
+    const std::uint64_t mx = max.load(std::memory_order_relaxed);
+    hv.min = hv.count == 0 ? mn : std::min(hv.min, mn);
+    hv.max = std::max(hv.max, mx);
+    hv.count += n;
+    hv.sum += sum.load(std::memory_order_relaxed);
+    for (std::size_t b = 0; b < histBuckets; ++b)
+        hv.buckets[b] += buckets[b].load(std::memory_order_relaxed);
+}
 
 void
 prepareCurrentThread()
@@ -352,162 +423,75 @@ prepareCurrentThread()
     (void)retirer;
 }
 
-double
-HistogramValue::quantile(double q) const
+TelemetryDomain::TelemetryDomain(std::vector<Label> labels)
+    : labels_(normalizeLabels(std::move(labels)))
 {
-    if (count == 0)
-        return 0.0;
-    if (q <= 0.0)
-        return (double)min;
-    if (q >= 1.0)
-        return (double)max;
-    // Rank targeting: the q-quantile sits at (fractional) rank
-    // q * count within the sorted observations. Walk cumulative
-    // bucket counts to the bucket containing that rank, then
-    // interpolate linearly inside it. log2 bucket b > 0 spans
-    // [2^(b-1), 2^b - 1] (bucket 0 holds only the value 0); both
-    // bounds clamp to the histogram's exact min/max, which tightens
-    // the head and tail buckets considerably.
-    const double target = q * (double)count;
-    std::uint64_t cum = 0;
-    for (std::size_t b = 0; b < buckets.size(); ++b) {
-        const std::uint64_t n = buckets[b];
-        if (n == 0)
-            continue;
-        if ((double)cum + (double)n >= target) {
-            double lo = b == 0
-                            ? 0.0
-                            : (double)(std::uint64_t{1} << (b - 1));
-            double hi;
-            if (b == 0)
-                hi = 0.0;
-            else if (b >= 64)
-                hi = (double)~std::uint64_t{0};
-            else
-                hi = (double)((std::uint64_t{1} << b) - 1);
-            lo = std::max(lo, (double)min);
-            hi = std::min(hi, (double)max);
-            if (hi < lo)
-                hi = lo;
-            const double pos = (target - (double)cum) / (double)n;
-            return lo + pos * (hi - lo);
-        }
-        cum += n;
-    }
-    return (double)max;
 }
 
-std::int64_t
-Snapshot::counter(const std::string &name) const
+TelemetryDomain
+TelemetryDomain::with(std::string key, std::string value) const
 {
-    for (const auto &[n, v] : counters) {
-        if (n == name)
-            return v;
-    }
-    return 0;
+    std::vector<Label> ext = labels_;
+    ext.push_back({std::move(key), std::move(value)});
+    return TelemetryDomain(std::move(ext));
 }
 
-std::int64_t
-Snapshot::gauge(const std::string &name) const
+namespace {
+
+/** A domain series' scalar storage: its cell, or for the empty
+ *  domain the label-less slot in the fallback shard. */
+std::atomic<std::int64_t> *
+scalarOf(Entry &e)
 {
-    for (const auto &[n, v] : gauges) {
-        if (n == name)
-            return v;
-    }
-    return 0;
+    return e.value ? e.value.get()
+                   : &registry().fallback().scalars[e.slot];
 }
 
-const HistogramValue *
-Snapshot::histogram(const std::string &name) const &
+} // namespace
+
+Series
+TelemetryDomain::counter(const std::string &name) const
 {
-    for (const HistogramValue &h : histograms) {
-        if (h.name == name)
-            return &h;
-    }
-    return nullptr;
+    return Series(scalarOf(registry().intern(name, labels_, Kind::Counter)));
+}
+
+Series
+TelemetryDomain::gauge(const std::string &name) const
+{
+    return Series(scalarOf(registry().intern(name, labels_, Kind::Gauge)));
+}
+
+HistSeries
+TelemetryDomain::histogram(const std::string &name) const
+{
+    Entry &e = registry().intern(name, labels_, Kind::Histogram);
+    return HistSeries(e.hist ? e.hist.get()
+                             : &registry().fallback().hists[e.slot]);
+}
+
+FamilySum::FamilySum(const char *name, const char *family, Kind kind)
+{
+    EDB_ASSERT(kind != Kind::Histogram,
+               "obs family sum '%s' must be a counter or gauge", name);
+    registry().intern(name, {}, kind, family);
+}
+
+std::size_t
+seriesCount()
+{
+    return registry().labeledCount();
+}
+
+std::size_t
+setMaxSeriesForTest(std::size_t cap)
+{
+    return registry().setMaxSeries(cap);
 }
 
 Snapshot
 takeSnapshot()
 {
     return registry().takeSnapshot();
-}
-
-void
-writeSnapshotJson(std::ostream &os)
-{
-    const Snapshot snap = takeSnapshot();
-    os << "{\n  \"schema\": \"edb-obs-snapshot-v2\",\n"
-       << "  \"meta\": {\"wall_ms\": " << snap.wallMs
-       << ", \"uptime_ns\": " << snap.uptimeNs
-       << ", \"pid\": " << snap.pid << "},\n";
-
-    auto scalarBlock = [&os](const char *key, const auto &items,
-                             const char *trailer) {
-        os << "  \"" << key << "\": {";
-        bool first = true;
-        for (const auto &[name, value] : items) {
-            os << (first ? "\n" : ",\n") << "    \""
-               << jsonEscape(name) << "\": " << value;
-            first = false;
-        }
-        os << (first ? "}" : "\n  }") << trailer << "\n";
-    };
-    scalarBlock("counters", snap.counters, ",");
-    scalarBlock("gauges", snap.gauges, ",");
-
-    os << "  \"histograms\": {";
-    bool first = true;
-    for (const HistogramValue &h : snap.histograms) {
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(h.name)
-           << "\": {\"count\": " << h.count << ", \"sum\": " << h.sum
-           << ", \"min\": " << h.min << ", \"max\": " << h.max
-           << ",\n      \"buckets\": [";
-        // Trailing all-zero buckets add noise; emit up to the last
-        // occupied one (log2 bucket b covers values of bit length b).
-        std::size_t last = 0;
-        for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-            if (h.buckets[b] != 0)
-                last = b + 1;
-        }
-        for (std::size_t b = 0; b < last; ++b)
-            os << (b ? ", " : "") << h.buckets[b];
-        os << "]}";
-        first = false;
-    }
-    os << (first ? "}" : "\n  }") << "\n}\n";
-}
-
-bool
-writeSnapshotJsonFile(const std::string &path)
-{
-    // Write-to-temp + rename so a reader polling the path (a live
-    // dashboard tailing a daemon's snapshot) never sees a torn file:
-    // it observes either the previous complete snapshot or this one.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            warn("obs: cannot open '%s' for the snapshot",
-                 tmp.c_str());
-            return false;
-        }
-        writeSnapshotJson(os);
-        os.flush();
-        if (!os) {
-            warn("obs: I/O error writing snapshot to '%s'",
-                 tmp.c_str());
-            std::remove(tmp.c_str());
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("obs: cannot rename '%s' to '%s'", tmp.c_str(),
-             path.c_str());
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
 }
 
 } // namespace edb::obs

@@ -72,19 +72,6 @@ sink()
 
 constinit thread_local TraceBuf *t_buf = nullptr;
 
-std::string
-escapeName(const char *name)
-{
-    std::string out;
-    for (const char *p = name; *p != '\0'; ++p) {
-        if (*p == '"' || *p == '\\')
-            out += '\\';
-        if ((unsigned char)*p >= 0x20)
-            out += *p;
-    }
-    return out;
-}
-
 } // namespace
 
 bool
@@ -188,7 +175,7 @@ flushTrace()
                          "%s\n{\"name\": \"%s\", \"cat\": \"edb\", "
                          "\"ph\": \"%c\", \"ts\": %.3f, \"pid\": 1, "
                          "\"tid\": %u%s}",
-                         first ? "" : ",", escapeName(r.name).c_str(),
+                         first ? "" : ",", jsonEscape(r.name).c_str(),
                          r.ph, ts, buf->tid, args);
             first = false;
         }

@@ -110,8 +110,8 @@ struct StatsReply
 struct MetricsSeriesRow
 {
     std::string name;
-    std::vector<telemetry::Label> labels;
-    std::uint8_t kind = 0; ///< telemetry::Kind
+    std::vector<obs::Label> labels;
+    std::uint8_t kind = 0; ///< obs::Kind
     std::int64_t value = 0;
     bool hasRate = false;
     double rate = 0.0; ///< per second, over the sampler's ring window
@@ -121,7 +121,7 @@ struct MetricsSeriesRow
 struct MetricsHistRow
 {
     std::string name;
-    std::vector<telemetry::Label> labels;
+    std::vector<obs::Label> labels;
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
     std::uint64_t min = 0;
@@ -209,7 +209,7 @@ class Client
     /**
      * METRICS as a text blob: MetricsFormat::Prometheus (default)
      * returns the exposition (`text/plain; version=0.0.4`),
-     * MetricsFormat::Json the edb-metrics-v1 JSON document. Allowed
+     * MetricsFormat::Json the edb-metrics-v2 JSON document. Allowed
      * before HELLO, like stats().
      */
     std::string metricsText(
@@ -263,5 +263,11 @@ class Client
 };
 
 } // namespace edb::served
+
+namespace edb::telemetry {
+/** The label type's name from before the labeled series moved into
+ *  edb::obs, kept so existing callers of the metrics rows compile. */
+using Label = obs::Label;
+} // namespace edb::telemetry
 
 #endif // EDB_SERVED_CLIENT_H

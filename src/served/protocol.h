@@ -79,7 +79,7 @@ enum class Op : std::uint8_t {
  *  echoes the format before the payload). */
 enum class MetricsFormat : std::uint8_t {
     Prometheus = 0, ///< text exposition 0.0.4 as one blob
-    Json = 1,       ///< edb-metrics-v1 JSON as one blob
+    Json = 1,       ///< edb-metrics-v2 JSON as one blob
     Binary = 2,     ///< structured rows (what `edb-trace top` decodes)
 };
 
@@ -108,7 +108,7 @@ enum class ErrCode : std::uint16_t {
     UnknownTrace = 9,     ///< trace id not opened by this tenant
     UnknownMonitor = 10,  ///< monitor id not installed
     TraceLoadFailed = 11, ///< OPEN_TRACE path unreadable/corrupt
-    BadSession = 12,      ///< RUN session id out of range
+    BadSession = 12,      ///< RUN session id out of range or repeated
     BadQuery = 13,        ///< QUERY spec rejected by validateSpec
     ShuttingDown = 14,    ///< server is draining; try again elsewhere
     Internal = 15,        ///< unexpected server-side failure

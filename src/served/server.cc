@@ -18,7 +18,6 @@
 #include <unistd.h>
 
 #include "obs/obs.h"
-#include "telemetry/prom.h"
 #include "util/logging.h"
 
 namespace edb::served {
@@ -41,32 +40,27 @@ obs::Gauge obsReadersActive{"served.readers.active"};
 obs::Histogram obsFrameBytes{"served.frame_bytes"};
 
 /** The per-op request instruments: an op-labeled request counter and
- *  latency histogram. Interned once per opcode; the copy handed back
- *  is two raw pointers, so the per-request cost after the first hit
- *  is one map lookup under an uncontended mutex. */
+ *  latency histogram. One slot per request opcode, each interned on
+ *  that op's first request, so a series appears once its op has run
+ *  and the request path pays one acquire load, no lock. */
 struct OpInstruments
 {
-    telemetry::Series requests;
-    telemetry::HistSeries latency;
+    std::once_flag interned;
+    obs::Series requests;
+    obs::HistSeries latency;
 };
 
-OpInstruments
+OpInstruments &
 opInstruments(std::uint8_t op)
 {
-    static std::mutex mu;
-    static std::map<std::uint8_t, OpInstruments> cache;
-    std::lock_guard<std::mutex> lk(mu);
-    auto it = cache.find(op);
-    if (it == cache.end()) {
-        telemetry::TelemetryDomain d{{"op", opName(op)}};
-        it = cache
-                 .emplace(op,
-                          OpInstruments{
-                              d.counter("served.requests"),
-                              d.histogram("served.request_ns")})
-                 .first;
-    }
-    return it->second;
+    static OpInstruments table[(std::size_t)Op::Metrics + 1];
+    OpInstruments &ins = table[op];
+    std::call_once(ins.interned, [&] {
+        const obs::TelemetryDomain d{{"op", opName(op)}};
+        ins.requests = d.counter("served.requests");
+        ins.latency = d.histogram("served.request_ns");
+    });
+    return ins;
 }
 #endif
 
@@ -87,35 +81,30 @@ writeAll(int fd, const std::uint8_t *data, std::size_t n)
     return true;
 }
 
-/** The STATS JSON blob: the process-wide obs snapshot when the
- *  build carries edb::obs, a minimal self-describing fallback
- *  otherwise (tests and tooling key off the schema field). */
+/** A snapshot as one `edb-metrics-v2` JSON blob (STATS and METRICS
+ *  format 1; empty-but-valid under EDB_OBS=OFF). */
 std::string
-statsJson()
+snapshotJson(const obs::Snapshot &snap)
 {
-#if EDB_OBS_ENABLED
     std::ostringstream os;
-    obs::writeSnapshotJson(os);
+    obs::writeSnapshotJson(os, snap);
     return os.str();
-#else
-    return "{\"schema\": \"edb-served-stats-v1\", \"obs\": false}\n";
-#endif
 }
 
-/** Encode a telemetry Report as the METRICS binary format (format 2,
+/** Encode a sampler report as the METRICS binary format (format 2,
  *  docs/PROTOCOL.md): fixed-width rows a PayloadReader can decode,
  *  so `edb-trace top` needs no JSON parser. Doubles travel as IEEE
  *  bit patterns in a u64. */
 void
-writeReportBinary(PayloadWriter &w, const telemetry::Report &report)
+writeReportBinary(PayloadWriter &w, const obs::Snapshot &report)
 {
     w.putU64(report.intervalMs);
     w.putU64(report.samples);
     w.putU32((std::uint32_t)report.series.size());
-    for (const telemetry::ReportSeries &s : report.series) {
+    for (const obs::ScalarValue &s : report.series) {
         w.putString(s.name);
         w.putU8((std::uint8_t)s.labels.size());
-        for (const telemetry::Label &l : s.labels) {
+        for (const obs::Label &l : s.labels) {
             w.putString(l.key);
             w.putString(l.value);
         }
@@ -124,11 +113,11 @@ writeReportBinary(PayloadWriter &w, const telemetry::Report &report)
         w.putU8(s.hasRate ? 1 : 0);
         w.putU64(std::bit_cast<std::uint64_t>(s.rate));
     }
-    w.putU32((std::uint32_t)report.hists.size());
-    for (const telemetry::ReportHist &h : report.hists) {
+    w.putU32((std::uint32_t)report.histograms.size());
+    for (const obs::HistogramValue &h : report.histograms) {
         w.putString(h.name);
         w.putU8((std::uint8_t)h.labels.size());
-        for (const telemetry::Label &l : h.labels) {
+        for (const obs::Label &l : h.labels) {
             w.putString(l.key);
             w.putString(l.value);
         }
@@ -136,9 +125,9 @@ writeReportBinary(PayloadWriter &w, const telemetry::Report &report)
         w.putU64(h.sum);
         w.putU64(h.min);
         w.putU64(h.max);
-        w.putU64(std::bit_cast<std::uint64_t>(h.p50));
-        w.putU64(std::bit_cast<std::uint64_t>(h.p95));
-        w.putU64(std::bit_cast<std::uint64_t>(h.p99));
+        w.putU64(std::bit_cast<std::uint64_t>(h.quantile(0.50)));
+        w.putU64(std::bit_cast<std::uint64_t>(h.quantile(0.95)));
+        w.putU64(std::bit_cast<std::uint64_t>(h.quantile(0.99)));
     }
 }
 
@@ -227,10 +216,10 @@ Server::start()
     }
 
     if (options_.metricsIntervalMs > 0) {
-        telemetry::SamplerOptions sopts;
+        obs::SamplerOptions sopts;
         sopts.intervalMs = options_.metricsIntervalMs;
         sopts.ringCapacity = options_.metricsRingCapacity;
-        sampler_ = std::make_unique<telemetry::Sampler>(sopts);
+        sampler_ = std::make_unique<obs::Sampler>(sopts);
         sampler_->start();
     }
 
@@ -339,7 +328,7 @@ Server::serveMetricsScrape(int fd)
     timeval send_timeout{30, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
                  sizeof send_timeout);
-    const std::string text = telemetry::prometheusText();
+    const std::string text = obs::prometheusText();
     (void)writeAll(fd, (const std::uint8_t *)text.data(),
                    text.size());
     ::close(fd);
@@ -409,7 +398,7 @@ Server::dispatch(Conn &conn, const Frame &frame)
         obs::emitTraceEvent(name, 'E', t1, req_id);
     const std::uint64_t ns = t1 - t0;
     if (isRequestOp(frame.opcode)) {
-        OpInstruments ins = opInstruments(frame.opcode);
+        OpInstruments &ins = opInstruments(frame.opcode);
         ins.requests.inc();
         ins.latency.observe(ns);
     }
@@ -478,7 +467,7 @@ Server::dispatchRequest(Conn &conn, const Frame &frame)
             EDB_OBS_INC(obsStats);
             const RegistryStats rs = registry_->stats();
             PayloadWriter w;
-            w.putBlob(statsJson());
+            w.putBlob(snapshotJson(obs::takeSnapshot()));
             w.putU32((std::uint32_t)rs.tenants);
             for (const TenantStats &t : rs.tenantRows) {
                 w.putU64(t.id);
@@ -517,13 +506,13 @@ Server::dispatchRequest(Conn &conn, const Frame &frame)
             PayloadWriter w;
             w.putU8(format);
             if ((MetricsFormat)format == MetricsFormat::Prometheus) {
-                w.putBlob(telemetry::prometheusText());
+                w.putBlob(obs::prometheusText());
             } else {
-                const telemetry::Report report =
-                    sampler_ ? sampler_->makeReport()
-                             : telemetry::Sampler::snapshotReport();
+                const obs::Snapshot report = sampler_
+                                                 ? sampler_->makeReport()
+                                                 : obs::takeSnapshot();
                 if ((MetricsFormat)format == MetricsFormat::Json)
-                    w.putBlob(telemetry::reportToJson(report));
+                    w.putBlob(snapshotJson(report));
                 else
                     writeReportBinary(w, report);
             }

@@ -33,8 +33,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/sampler.h"
 #include "served/registry.h"
-#include "telemetry/timeseries.h"
 
 namespace edb::served {
 
@@ -49,7 +49,7 @@ struct ServerOptions
     /** Live-monitor engine family for new tenants. */
     Engine engine = Engine::Software;
 
-    /** Sampling tick of the telemetry time-series collector;
+    /** Sampling tick of the obs time-series collector;
      *  0 disables the sampler thread (METRICS then serves a
      *  point-in-time snapshot with no rates). */
     std::uint64_t metricsIntervalMs = 1000;
@@ -106,7 +106,7 @@ class Server
 
     /** The time-series collector; null when metricsIntervalMs is 0
      *  or the server has not started. */
-    telemetry::Sampler *sampler() { return sampler_.get(); }
+    obs::Sampler *sampler() { return sampler_.get(); }
 
     /** Connections accepted over the server's lifetime. */
     std::uint64_t connectionsAccepted() const
@@ -140,7 +140,7 @@ class Server
 
     ServerOptions options_;
     std::unique_ptr<Registry> registry_;
-    std::unique_ptr<telemetry::Sampler> sampler_;
+    std::unique_ptr<obs::Sampler> sampler_;
     int listen_fd_ = -1;
     int metrics_fd_ = -1; ///< Prometheus scrape socket (optional)
     int stop_pipe_[2] = {-1, -1};

@@ -412,7 +412,7 @@ TEST_F(CliTest, ObsJsonSnapshotWrittenAfterAnalyze)
     ASSERT_TRUE(in.is_open());
     std::stringstream body;
     body << in.rdbuf();
-    EXPECT_NE(body.str().find("edb-obs-snapshot-v2"),
+    EXPECT_NE(body.str().find("\"schema\": \"edb-metrics-v2\""),
               std::string::npos);
     EXPECT_NE(body.str().find("sim.replay.writes"), std::string::npos);
     std::remove(snap_path.c_str());
@@ -509,13 +509,13 @@ TEST_F(CliServedTest, TopOnceJsonIsMachineReadable)
                   out, err),
               0)
         << err.str();
-    // The raw edb-metrics-v1 document, one per poll, for CI scripts.
-    EXPECT_NE(out.str().find("\"schema\": \"edb-metrics-v1\""),
+    // The raw edb-metrics-v2 document, one per poll, for CI scripts.
+    EXPECT_NE(out.str().find("\"schema\": \"edb-metrics-v2\""),
               std::string::npos);
     EXPECT_EQ(out.str().back(), '\n');
     // --once means exactly one document.
-    EXPECT_EQ(out.str().find("edb-metrics-v1"),
-              out.str().rfind("edb-metrics-v1"));
+    EXPECT_EQ(out.str().find("edb-metrics-v2"),
+              out.str().rfind("edb-metrics-v2"));
 }
 
 TEST_F(CliServedTest, TopTableRendersWithoutAnsiWhenOnce)

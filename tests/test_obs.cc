@@ -102,17 +102,17 @@ TEST(ObsRegistry, StressExactTotalsAcrossThreads)
 
 TEST(ObsHistogram, BucketOfIsBitLength)
 {
-    EXPECT_EQ(Histogram::bucketOf(0), 0u);
-    EXPECT_EQ(Histogram::bucketOf(1), 1u);
-    EXPECT_EQ(Histogram::bucketOf(2), 2u);
-    EXPECT_EQ(Histogram::bucketOf(3), 2u);
-    EXPECT_EQ(Histogram::bucketOf(4), 3u);
-    EXPECT_EQ(Histogram::bucketOf(7), 3u);
-    EXPECT_EQ(Histogram::bucketOf(8), 4u);
-    EXPECT_EQ(Histogram::bucketOf(1u << 20), 21u);
-    EXPECT_EQ(Histogram::bucketOf(~std::uint64_t{0}), 64u);
-    static_assert(Histogram::bucketOf(255) == 8);
-    static_assert(Histogram::bucketOf(256) == 9);
+    EXPECT_EQ(AtomicHist::bucketOf(0), 0u);
+    EXPECT_EQ(AtomicHist::bucketOf(1), 1u);
+    EXPECT_EQ(AtomicHist::bucketOf(2), 2u);
+    EXPECT_EQ(AtomicHist::bucketOf(3), 2u);
+    EXPECT_EQ(AtomicHist::bucketOf(4), 3u);
+    EXPECT_EQ(AtomicHist::bucketOf(7), 3u);
+    EXPECT_EQ(AtomicHist::bucketOf(8), 4u);
+    EXPECT_EQ(AtomicHist::bucketOf(1u << 20), 21u);
+    EXPECT_EQ(AtomicHist::bucketOf(~std::uint64_t{0}), 64u);
+    static_assert(AtomicHist::bucketOf(255) == 8);
+    static_assert(AtomicHist::bucketOf(256) == 9);
 }
 
 TEST(ObsSnapshot, JsonCarriesSchemaAndInstruments)
@@ -121,22 +121,27 @@ TEST(ObsSnapshot, JsonCarriesSchemaAndInstruments)
     marker.add(7);
 
     std::ostringstream os;
-    writeSnapshotJson(os);
+    writeSnapshotJson(os, takeSnapshot());
     const std::string json = os.str();
 
-    EXPECT_NE(json.find("\"schema\": \"edb-obs-snapshot-v2\""),
+    EXPECT_NE(json.find("\"schema\": \"edb-metrics-v2\""),
               std::string::npos);
     EXPECT_NE(json.find("\"meta\""), std::string::npos);
     EXPECT_NE(json.find("\"wall_ms\""), std::string::npos);
     EXPECT_NE(json.find("\"uptime_ns\""), std::string::npos);
     EXPECT_NE(json.find("\"pid\""), std::string::npos);
-    EXPECT_NE(json.find("\"counters\""), std::string::npos);
-    EXPECT_NE(json.find("\"gauges\""), std::string::npos);
+    EXPECT_NE(json.find("\"interval_ms\": 0"), std::string::npos);
+    EXPECT_NE(json.find("\"samples\": 1"), std::string::npos);
+    EXPECT_NE(json.find("\"series\""), std::string::npos);
     EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-    EXPECT_NE(json.find("\"test.obs.json_marker\""), std::string::npos);
+    EXPECT_NE(json.find("{\"name\": \"test.obs.json_marker\", "
+                        "\"labels\": {}, \"kind\": \"counter\""),
+              std::string::npos);
     // Braces balance (the writer emits no string containing braces).
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
+    EXPECT_EQ(std::count(json.begin(), json.end(), '['),
+              std::count(json.begin(), json.end(), ']'));
 }
 
 TEST(ObsSnapshot, MetaFieldsArePlausible)

@@ -23,7 +23,6 @@
 
 #include "obs/obs.h"
 #include "served/client.h"
-#include "telemetry/telemetry.h"
 #include "served/protocol.h"
 #include "served/registry.h"
 #include "served/server.h"
@@ -550,6 +549,33 @@ TEST_F(ServedServerTest, QuotaErrorsLeaveOtherTenantsRunning)
     steady.bye();
 }
 
+TEST_F(ServedServerTest, RepeatedSessionIdIsTypedAndRecoverable)
+{
+    Client a = connected("alice");
+    Client b = connected("bob");
+    const OpenResult oa = a.openTrace(file_->path());
+    const OpenResult ob = b.openTrace(file_->path());
+
+    // A RUN naming one session twice is a typed error for its
+    // tenant, not an abort of the daemon.
+    try {
+        a.run(oa.traceId, {0, 0});
+        FAIL() << "repeated session id accepted";
+    } catch (const ClientError &e) {
+        EXPECT_EQ(e.code(), ErrCode::BadSession);
+    }
+    // Another tenant replaying the same shared mapping is unaffected,
+    // and so is the rejected tenant's next well-formed RUN.
+    const RunReply run = b.run(ob.traceId, {0, 1});
+    ASSERT_TRUE(run.sessionMode);
+    EXPECT_EQ(run.totalWrites, oracle_->totalWrites);
+    EXPECT_EQ(run.counters[0], oracle_->counters[0]);
+    EXPECT_EQ(run.counters[1], oracle_->counters[1]);
+    EXPECT_EQ(a.run(oa.traceId, {1}).counters[0], oracle_->counters[1]);
+    a.bye();
+    b.bye();
+}
+
 TEST_F(ServedServerTest, RunSessionsBitIdenticalToOracle)
 {
     Client c = connected("alice");
@@ -679,13 +705,10 @@ TEST_F(ServedServerTest, StatsServesSnapshotAndRegistryTables)
     a.run(open.traceId, {0});
 
     const StatsReply stats = a.stats();
+    EXPECT_NE(stats.snapshotJson.find("\"schema\": \"edb-metrics-v2\""),
+              std::string::npos);
 #if EDB_OBS_ENABLED
-    EXPECT_NE(stats.snapshotJson.find("edb-obs-snapshot-v2"),
-              std::string::npos);
     EXPECT_NE(stats.snapshotJson.find("served.installs"),
-              std::string::npos);
-#else
-    EXPECT_NE(stats.snapshotJson.find("edb-served-stats-v1"),
               std::string::npos);
 #endif
     ASSERT_EQ(stats.tenants.size(), 2u);
@@ -711,7 +734,7 @@ TEST_F(ServedServerTest, MetricsAllowedBeforeHelloInEveryFormat)
 
     const std::string prom = c.metricsText();
     const std::string json = c.metricsText(MetricsFormat::Json);
-    EXPECT_NE(json.find("\"schema\": \"edb-metrics-v1\""),
+    EXPECT_NE(json.find("\"schema\": \"edb-metrics-v2\""),
               std::string::npos);
 
     MetricsReply r = c.metricsReport();
@@ -764,7 +787,7 @@ TEST_F(ServedServerTest, MetricsReportCarriesOpLatencyQuantiles)
     for (const MetricsHistRow &h : r.hists) {
         if (h.name != "served.request_ns")
             continue;
-        for (const telemetry::Label &l : h.labels) {
+        for (const obs::Label &l : h.labels) {
             if (l.key != "op")
                 continue;
             if (l.value == "HELLO")
@@ -788,7 +811,7 @@ TEST_F(ServedServerTest, MetricsReportCarriesOpLatencyQuantiles)
     for (const MetricsSeriesRow &s : r.series) {
         if (s.name != "served.requests")
             continue;
-        for (const telemetry::Label &l : s.labels) {
+        for (const obs::Label &l : s.labels) {
             if (l.key == "op" && l.value == "HELLO" && s.value > 0)
                 hello_counted = true;
         }
@@ -816,12 +839,12 @@ struct TenantSums
 };
 
 TenantSums
-sumTenantSeries()
+sumTenantSeries(const obs::Snapshot &snap)
 {
     TenantSums t;
-    for (const telemetry::SeriesValue &s : telemetry::collect()) {
+    for (const obs::ScalarValue &s : snap.series) {
         bool tenant_labeled = false;
-        for (const telemetry::Label &l : s.labels)
+        for (const obs::Label &l : s.labels)
             tenant_labeled |= l.key == "tenant";
         if (!tenant_labeled)
             continue;
@@ -855,13 +878,13 @@ sumTenantSeries()
 
 TEST_F(ServedServerTest, PerTenantTelemetrySumsMatchObsGlobals)
 {
-    // The differential invariant: every obs process-global update in
-    // the registry has a per-tenant telemetry update at the same call
-    // site, so deltas of the tenant-label sums must equal deltas of
-    // the globals across any workload. (Deltas, because both
-    // registries accumulate across the whole test process.)
+    // The differential invariant: every served.* global with
+    // per-tenant twins is the sum of its served.tenant.* family, so
+    // deltas of the tenant-label sums must equal deltas of the
+    // globals across any workload. (Deltas, because the registry
+    // accumulates across the whole test process.)
     const obs::Snapshot before = obs::takeSnapshot();
-    const TenantSums tb = sumTenantSeries();
+    const TenantSums tb = sumTenantSeries(before);
 
     {
         Client a = connected("alice");
@@ -883,7 +906,7 @@ TEST_F(ServedServerTest, PerTenantTelemetrySumsMatchObsGlobals)
     }
 
     const obs::Snapshot after = obs::takeSnapshot();
-    const TenantSums ta = sumTenantSeries();
+    const TenantSums ta = sumTenantSeries(after);
     const auto cd = [&](const char *name) {
         return after.counter(name) - before.counter(name);
     };

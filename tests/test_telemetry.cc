@@ -1,17 +1,17 @@
 /**
  * @file
- * Tests for edb::telemetry — labeled domains, the cardinality cap's
- * overflow behavior, the time-series sampler's rate derivation, the
- * Prometheus exposition, and a TSan-facing concurrency stress. The
- * labeled registry is process-global and accumulates across suites,
- * so every assertion here is delta-based or uses test-unique names.
+ * Tests for the labeled side of the obs registry — TelemetryDomain
+ * validation, the cardinality cap's per-(name, kind) overflow series
+ * and family sums, the time-series sampler's rate derivation, the
+ * JSON and Prometheus writers, and a TSan-facing concurrency stress.
+ * The registry is process-global and accumulates across suites, so
+ * every assertion here is delta-based or uses test-unique names.
  */
 
 #include <gtest/gtest.h>
 
-#include "telemetry/prom.h"
-#include "telemetry/telemetry.h"
-#include "telemetry/timeseries.h"
+#include "obs/obs.h"
+#include "obs/sampler.h"
 
 #if EDB_OBS_ENABLED
 
@@ -26,15 +26,17 @@
 #include <thread>
 #include <vector>
 
-namespace edb::telemetry {
+namespace edb::obs {
 namespace {
 
-/** Find one collected series by (name, single label value). */
-const SeriesValue *
-findSeries(const std::vector<SeriesValue> &all, const std::string &name,
+/** Find one snapshot series or histogram by (name, single label
+ *  value); an empty label value matches the label-less series. */
+template <typename V>
+const V *
+findSeries(const std::vector<V> &all, const std::string &name,
            const std::string &label_value)
 {
-    for (const SeriesValue &s : all) {
+    for (const V &s : all) {
         if (s.name != name)
             continue;
         if (label_value.empty() && s.labels.empty())
@@ -45,6 +47,18 @@ findSeries(const std::vector<SeriesValue> &all, const std::string &name,
         }
     }
     return nullptr;
+}
+
+/** Sum of every labeled series of one family in a snapshot. */
+std::int64_t
+familyTotal(const Snapshot &snap, const std::string &name)
+{
+    std::int64_t total = 0;
+    for (const ScalarValue &s : snap.series) {
+        if (s.name == name && !s.labels.empty())
+            total += s.value;
+    }
+    return total;
 }
 
 TEST(TelemetryDomain, RejectsTooManyLabels)
@@ -95,27 +109,26 @@ TEST(TelemetrySeries, CounterGaugeHistogramCollect)
     h.observe(100);
     h.observe(200);
 
-    const std::vector<SeriesValue> all = collect();
-    const SeriesValue *sc =
-        findSeries(all, "test.telemetry.collect_c", "tt-collect");
+    const Snapshot all = takeSnapshot();
+    const ScalarValue *sc =
+        findSeries(all.series, "test.telemetry.collect_c", "tt-collect");
     ASSERT_NE(sc, nullptr);
     EXPECT_EQ(sc->kind, Kind::Counter);
     EXPECT_EQ(sc->value, 6);
 
-    const SeriesValue *sg =
-        findSeries(all, "test.telemetry.collect_g", "tt-collect");
+    const ScalarValue *sg =
+        findSeries(all.series, "test.telemetry.collect_g", "tt-collect");
     ASSERT_NE(sg, nullptr);
     EXPECT_EQ(sg->kind, Kind::Gauge);
     EXPECT_EQ(sg->value, 7);
 
-    const SeriesValue *sh =
-        findSeries(all, "test.telemetry.collect_h", "tt-collect");
+    const HistogramValue *sh = findSeries(
+        all.histograms, "test.telemetry.collect_h", "tt-collect");
     ASSERT_NE(sh, nullptr);
-    EXPECT_EQ(sh->kind, Kind::Histogram);
-    EXPECT_EQ(sh->hist.count, 2u);
-    EXPECT_EQ(sh->hist.sum, 300u);
-    EXPECT_EQ(sh->hist.min, 100u);
-    EXPECT_EQ(sh->hist.max, 200u);
+    EXPECT_EQ(sh->count, 2u);
+    EXPECT_EQ(sh->sum, 300u);
+    EXPECT_EQ(sh->min, 100u);
+    EXPECT_EQ(sh->max, 200u);
 }
 
 TEST(TelemetrySeries, SameIdentitySharesOneCell)
@@ -133,9 +146,9 @@ TEST(TelemetrySeries, SameIdentitySharesOneCell)
     s2.add(2);
     EXPECT_EQ(seriesCount(), before);
 
-    const std::vector<SeriesValue> all = collect();
-    const SeriesValue *s =
-        findSeries(all, "test.telemetry.shared", "tt-shared");
+    const Snapshot all = takeSnapshot();
+    const ScalarValue *s =
+        findSeries(all.series, "test.telemetry.shared", "tt-shared");
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(s->value, 3);
 }
@@ -150,47 +163,107 @@ TEST(TelemetrySeries, KindConflictThrows)
                  std::invalid_argument);
 }
 
+// Family sums over the capped families below: label-less totals
+// derived from every labeled series, overflow series included.
+FamilySum cappedTotal{"test.telemetry.capped_total",
+                      "test.telemetry.capped", Kind::Counter};
+FamilySum cappedLevel{"test.telemetry.capped_level",
+                      "test.telemetry.capped_g", Kind::Gauge};
+
 TEST(TelemetrySeries, CardinalityCapRoutesToOverflowCell)
 {
+    // One attributed series interned before the cap, so the family
+    // sum spans attributed and overflow series alike.
+    TelemetryDomain early{{"tenant", "tt-overflow-early"}};
+    early.counter("test.telemetry.capped").add(5);
+    early.gauge("test.telemetry.capped_g").add(2);
+
     // Freeze the cap at the current population: the very next new
-    // identity must land in the shared overflow cell — attribution
-    // degrades, the process does not abort, and the cell shows up
-    // in collect() under its reserved name.
+    // identity must land in the overflow series of its own
+    // (name, kind) — attribution degrades, the process does not
+    // abort, counters stay monotone and gauges stay gauges.
     const std::size_t prev = setMaxSeriesForTest(seriesCount());
     const std::size_t frozen = seriesCount();
 
-    const std::vector<SeriesValue> pre = collect();
-    const SeriesValue *ov0 = findSeries(pre, "telemetry.overflow", "");
-    const std::int64_t base = ov0 != nullptr ? ov0->value : 0;
+    const auto overflowValue = [](const char *name) {
+        const Snapshot snap = takeSnapshot();
+        const ScalarValue *s = findSeries(snap.series, name, "1");
+        return s != nullptr ? s->value : 0;
+    };
+    const std::int64_t counter_base =
+        overflowValue("test.telemetry.capped");
+    const std::int64_t gauge_base =
+        overflowValue("test.telemetry.capped_g");
 
+    // A late tenant: counter +3, then its gauge +1 -1 -5. The
+    // counter's overflow value must never move backwards.
     TelemetryDomain d{{"tenant", "tt-overflow-newcomer"}};
-    Series s = d.counter("test.telemetry.capped");
-    s.add(41);
-    s.inc();
-
+    Series c = d.counter("test.telemetry.capped");
+    Series g = d.gauge("test.telemetry.capped_g");
+    c.add(3);
+    std::int64_t last = overflowValue("test.telemetry.capped");
+    EXPECT_EQ(last, counter_base + 3);
+    for (const std::int64_t delta : {1, -1, -5}) {
+        g.add(delta);
+        const std::int64_t now = overflowValue("test.telemetry.capped");
+        EXPECT_GE(now, last);
+        last = now;
+    }
     EXPECT_EQ(seriesCount(), frozen);
-    const std::vector<SeriesValue> capped = collect();
-    const SeriesValue *ov = findSeries(capped, "telemetry.overflow", "");
-    ASSERT_NE(ov, nullptr);
-    EXPECT_EQ(ov->labels.size(), 0u);
-    EXPECT_EQ(ov->value, base + 42);
 
-    // Histograms overflow into their own shared cell.
+    const Snapshot snap = takeSnapshot();
+    const ScalarValue *ov =
+        findSeries(snap.series, "test.telemetry.capped", "1");
+    ASSERT_NE(ov, nullptr);
+    ASSERT_EQ(ov->labels.size(), 1u);
+    EXPECT_EQ(ov->labels[0].key, "overflow");
+    EXPECT_EQ(ov->kind, Kind::Counter);
+    EXPECT_EQ(ov->value, counter_base + 3);
+    const ScalarValue *ovg =
+        findSeries(snap.series, "test.telemetry.capped_g", "1");
+    ASSERT_NE(ovg, nullptr);
+    EXPECT_EQ(ovg->kind, Kind::Gauge);
+    EXPECT_EQ(ovg->value, gauge_base - 5);
+    // The newcomer got no series of its own.
+    EXPECT_EQ(findSeries(snap.series, "test.telemetry.capped",
+                         "tt-overflow-newcomer"),
+              nullptr);
+
+    // Derived globals equal their family sums, overflow included.
+    EXPECT_EQ(snap.counter("test.telemetry.capped_total"),
+              familyTotal(snap, "test.telemetry.capped"));
+    EXPECT_GE(snap.counter("test.telemetry.capped_total"),
+              5 + ov->value);
+    EXPECT_EQ(snap.gauge("test.telemetry.capped_level"),
+              familyTotal(snap, "test.telemetry.capped_g"));
+
+    // The exposition keeps each overflow series in its own family
+    // with its own type.
+    const std::string text = prometheusText();
+    EXPECT_NE(text.find("# TYPE edb_test_telemetry_capped counter\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("# TYPE edb_test_telemetry_capped_g gauge\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("edb_test_telemetry_capped_g{overflow=\"1\"} " +
+                        std::to_string(gauge_base - 5) + "\n"),
+              std::string::npos);
+
+    // Histograms overflow into their own (name, kind) series too.
     HistSeries hs = d.histogram("test.telemetry.capped_hist");
     hs.observe(7);
-    const std::vector<SeriesValue> afterHist = collect();
-    const SeriesValue *ovh =
-        findSeries(afterHist, "telemetry.overflow_hist", "");
+    const Snapshot afterHist = takeSnapshot();
+    const HistogramValue *ovh = findSeries(
+        afterHist.histograms, "test.telemetry.capped_hist", "1");
     ASSERT_NE(ovh, nullptr);
-    EXPECT_GE(ovh->hist.count, 1u);
+    EXPECT_GE(ovh->count, 1u);
 
     setMaxSeriesForTest(prev);
 
     // With the cap restored, fresh identities intern normally again.
     Series fresh = d.counter("test.telemetry.post_cap");
     fresh.inc();
-    const std::vector<SeriesValue> restored = collect();
-    EXPECT_NE(findSeries(restored, "test.telemetry.post_cap",
+    const Snapshot restored = takeSnapshot();
+    EXPECT_NE(findSeries(restored.series, "test.telemetry.post_cap",
                          "tt-overflow-newcomer"),
               nullptr);
 }
@@ -206,12 +279,12 @@ TEST(TelemetrySampler, CounterRateFromInjectedTimestamps)
     c.add(100);
     sampler.sampleOnce(2'000'000'000ull);
 
-    const Report report = sampler.makeReport();
+    const Snapshot report = sampler.makeReport();
     EXPECT_EQ(report.intervalMs, 1000u);
     EXPECT_EQ(report.samples, 2u);
 
-    const ReportSeries *rs = nullptr;
-    for (const ReportSeries &s : report.series) {
+    const ScalarValue *rs = nullptr;
+    for (const ScalarValue &s : report.series) {
         if (s.name == "test.telemetry.rate" && !s.labels.empty() &&
             s.labels[0].value == "tt-rate") {
             rs = &s;
@@ -238,10 +311,10 @@ TEST(TelemetrySampler, RingWrapNarrowsTheRateWindow)
         c.add(10);
     }
 
-    const Report report = sampler.makeReport();
+    const Snapshot report = sampler.makeReport();
     EXPECT_EQ(report.samples, 6u);
-    const ReportSeries *rs = nullptr;
-    for (const ReportSeries &s : report.series) {
+    const ScalarValue *rs = nullptr;
+    for (const ScalarValue &s : report.series) {
         if (s.name == "test.telemetry.wrap" && !s.labels.empty() &&
             s.labels[0].value == "tt-wrap") {
             rs = &s;
@@ -262,7 +335,7 @@ TEST(TelemetrySampler, GaugesNeverCarryRates)
     Sampler sampler({.intervalMs = 1000, .ringCapacity = 8});
     sampler.sampleOnce(1'000'000'000ull);
     sampler.sampleOnce(2'000'000'000ull);
-    for (const ReportSeries &s : sampler.makeReport().series) {
+    for (const ScalarValue &s : sampler.makeReport().series) {
         if (s.kind == Kind::Gauge)
             EXPECT_FALSE(s.hasRate) << s.name;
     }
@@ -274,10 +347,12 @@ TEST(TelemetrySampler, SnapshotReportHasValuesButNoRates)
     Series c = d.counter("test.telemetry.snap");
     c.add(9);
 
-    const Report report = Sampler::snapshotReport();
+    // A plain snapshot (what METRICS serves with the sampler off)
+    // carries live values and no rates.
+    const Snapshot report = takeSnapshot();
     EXPECT_EQ(report.intervalMs, 0u);
     bool found = false;
-    for (const ReportSeries &s : report.series) {
+    for (const ScalarValue &s : report.series) {
         EXPECT_FALSE(s.hasRate) << s.name;
         if (s.name == "test.telemetry.snap" && !s.labels.empty() &&
             s.labels[0].value == "tt-snap") {
@@ -290,26 +365,41 @@ TEST(TelemetrySampler, SnapshotReportHasValuesButNoRates)
 
 TEST(TelemetryJson, ReportSchemaAndShape)
 {
-    Report report;
+    Snapshot report;
+    report.wallMs = 1700000000000ull;
+    report.uptimeNs = 42;
+    report.pid = 7;
     report.intervalMs = 250;
     report.samples = 4;
     report.series.push_back(
         {"a.b", {{"tenant", "t\"1"}}, Kind::Counter, 7, 3.5, true});
-    ReportHist h;
+    report.series.push_back({"a.g", {}, Kind::Gauge, -2});
+    HistogramValue h;
     h.name = "lat";
     h.count = 2;
     h.sum = 10;
-    h.p50 = 5.0;
-    report.hists.push_back(h);
+    h.min = 5;
+    h.max = 5;
+    h.buckets.assign(histBuckets, 0);
+    h.buckets[AtomicHist::bucketOf(5)] = 2;
+    report.histograms.push_back(h);
 
-    const std::string json = reportToJson(report);
-    EXPECT_NE(json.find("\"schema\": \"edb-metrics-v1\""),
+    std::ostringstream os;
+    writeSnapshotJson(os, report);
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"schema\": \"edb-metrics-v2\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"interval_ms\": 250"), std::string::npos);
-    EXPECT_NE(json.find("\"samples\": 4"), std::string::npos);
+    EXPECT_NE(json.find("\"meta\": {\"wall_ms\": 1700000000000, "
+                        "\"uptime_ns\": 42, \"pid\": 7, "
+                        "\"interval_ms\": 250, \"samples\": 4}"),
+              std::string::npos);
     EXPECT_NE(json.find("\"rate\": 3.5"), std::string::npos);
     EXPECT_NE(json.find("\\\"1"), std::string::npos); // escaped quote
+    // Unsampled series carry no rate field.
+    EXPECT_NE(json.find("\"kind\": \"gauge\", \"value\": -2}"),
+              std::string::npos);
     EXPECT_NE(json.find("\"p50\": 5"), std::string::npos);
+    EXPECT_NE(json.find("\"buckets\": [0, 0, 0, 2]"), std::string::npos);
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
     EXPECT_EQ(std::count(json.begin(), json.end(), '['),
@@ -378,7 +468,7 @@ TEST(TelemetryProm, ExpositionIsWellFormed)
 TEST(TelemetryStress, ConcurrentDomainsCollectAndSample)
 {
     // TSan-facing: racing interns of the same identities, hot-path
-    // increments, and concurrent collect()/sampleOnce() readers.
+    // increments, and concurrent takeSnapshot()/sampleOnce() readers.
     constexpr int kThreads = 8;
     constexpr int kIters = 5000;
 
@@ -386,7 +476,7 @@ TEST(TelemetryStress, ConcurrentDomainsCollectAndSample)
     std::thread reader([&] {
         Sampler sampler({.intervalMs = 1, .ringCapacity = 4});
         while (!done.load(std::memory_order_relaxed)) {
-            (void)collect();
+            (void)takeSnapshot();
             sampler.sampleOnce();
             (void)sampler.makeReport();
         }
@@ -412,20 +502,19 @@ TEST(TelemetryStress, ConcurrentDomainsCollectAndSample)
     done.store(true, std::memory_order_relaxed);
     reader.join();
 
-    std::int64_t total = 0;
+    const Snapshot snap = takeSnapshot();
+    const std::int64_t total = familyTotal(snap, "test.telemetry.stress");
     std::uint64_t hist_total = 0;
-    for (const SeriesValue &s : collect()) {
-        if (s.name == "test.telemetry.stress")
-            total += s.value;
-        if (s.name == "test.telemetry.stress_h")
-            hist_total += s.hist.count;
+    for (const HistogramValue &h : snap.histograms) {
+        if (h.name == "test.telemetry.stress_h")
+            hist_total += h.count;
     }
     EXPECT_EQ(total, (std::int64_t)kThreads * kIters);
     EXPECT_EQ(hist_total, (std::uint64_t)kThreads * kIters);
 }
 
 } // namespace
-} // namespace edb::telemetry
+} // namespace edb::obs
 
 #else // !EDB_OBS_ENABLED
 

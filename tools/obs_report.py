@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Diff two edb::obs snapshot JSON files (schema edb-obs-snapshot-v1
-or -v2).
+"""Diff two edb::obs snapshot JSON files (schema edb-metrics-v2, or
+the older edb-obs-snapshot-v1 / -v2, so a capture taken before the
+schema change still diffs against a new one).
 
 Prints a counter table (old / new / delta / ratio, sorted by largest
 relative change first) and a histogram comparison (count / sum / mean
-per side). When both snapshots carry the v2 `meta` block, the wall
-clocks date the interval and the counter table gains a rate column
-(delta per elapsed second between the two captures). Intended
+per side). Labeled series appear as `name{key=value,...}`. When both
+snapshots carry a `meta` block with wall clocks, they date the
+interval and the counter table gains a rate column (delta per
+elapsed second between the two captures). Intended
 workflow: capture a baseline snapshot with
 `EDB_OBS_JSON=old.json` (or `--obs-json old.json`), make a change,
 capture `new.json`, then:
@@ -32,20 +34,46 @@ import sys
 signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 
-ACCEPTED_SCHEMAS = ("edb-obs-snapshot-v1", "edb-obs-snapshot-v2")
+LEGACY_SCHEMAS = ("edb-obs-snapshot-v1", "edb-obs-snapshot-v2")
+
+
+def series_key(entry):
+    labels = entry.get("labels") or {}
+    if not labels:
+        return entry["name"]
+    pairs = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+    return f"{entry['name']}{{{pairs}}}"
+
+
+def from_metrics_v2(data):
+    """Reshape an edb-metrics-v2 document into the legacy layout:
+    {"meta", "counters": {name: v}, "gauges": {...},
+    "histograms": {name: {...}}}."""
+    out = {"meta": data.get("meta", {}), "counters": {}, "gauges": {},
+           "histograms": {}}
+    for entry in data.get("series", []):
+        kind = {"counter": "counters", "gauge": "gauges"}.get(
+            entry.get("kind"))
+        if kind is not None:
+            out[kind][series_key(entry)] = entry["value"]
+    for entry in data.get("histograms", []):
+        out["histograms"][series_key(entry)] = entry
+    return out
 
 
 def load_snapshot(path):
     with open(path) as f:
         data = json.load(f)
     schema = data.get("schema")
-    if schema not in ACCEPTED_SCHEMAS:
+    if schema == "edb-metrics-v2":
+        return from_metrics_v2(data)
+    if schema not in LEGACY_SCHEMAS:
         sys.exit(f"{path}: unexpected schema {schema!r}")
     return data
 
 
 def elapsed_seconds(old, new):
-    """Wall seconds between two v2 snapshots; None for v1 captures."""
+    """Wall seconds between two dated snapshots; None for v1 captures."""
     o = old.get("meta", {}).get("wall_ms")
     n = new.get("meta", {}).get("wall_ms")
     if o is None or n is None or n <= o:

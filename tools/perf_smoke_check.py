@@ -13,7 +13,7 @@ a fast path fell off a cliff (an accidental O(n) scan, a lost inline,
 a debug-build slip), not scheduler jitter.
 
 With --require-obs the script also checks OBS_*.json snapshots
-(edb::obs, schema edb-obs-snapshot-v1 or -v2) for counter sanity: the
+(edb::obs, schema edb-metrics-v2) for counter sanity: the
 replay cache and shadow directory must have actually run, and the
 shadow fast/fallback split must add up to the lookup count.
 
@@ -367,10 +367,10 @@ def check_obs(path):
     """
     rc = 0
     data = json.loads(path.read_text())
-    if data.get("schema") not in ("edb-obs-snapshot-v1",
-                                  "edb-obs-snapshot-v2"):
+    if data.get("schema") != "edb-metrics-v2":
         return fail(f"{path.name}: unexpected schema {data.get('schema')!r}")
-    c = data.get("counters", {})
+    c = {s["name"]: s["value"] for s in data.get("series", [])
+         if s.get("kind") == "counter" and not s.get("labels")}
     writes = c.get("sim.replay.writes", 0)
     replays = c.get("sim.replay.cache_replays", 0)
     lookups = c.get("wms.index.lookups", 0)
