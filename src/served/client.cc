@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -39,6 +40,7 @@ Client::~Client()
 Client::Client(Client &&other) noexcept
     : fd_(other.fd_), decoder_(std::move(other.decoder_)),
       events_(std::move(other.events_)),
+      event_frames_(other.event_frames_),
       reply_body_(std::move(other.reply_body_)),
       reply_offset_(other.reply_offset_)
 {
@@ -54,6 +56,7 @@ Client::operator=(Client &&other) noexcept
         other.fd_ = -1;
         decoder_ = std::move(other.decoder_);
         events_ = std::move(other.events_);
+        event_frames_ = other.event_frames_;
         reply_body_ = std::move(other.reply_body_);
         reply_offset_ = other.reply_offset_;
     }
@@ -111,6 +114,7 @@ Client::close()
     }
     decoder_ = FrameDecoder();
     events_.clear();
+    event_frames_ = 0;
 }
 
 void
@@ -194,22 +198,9 @@ Client::takeEvents()
         decoder_.feed(buf, (std::size_t)n);
     }
     Frame frame;
-    while (decoder_.next(frame)) {
-        if ((Op)frame.opcode != Op::Event)
-            throw std::runtime_error(
-                "served client: unexpected non-EVT frame while "
-                "draining events");
-        PayloadReader rd(frame.body, 0);
-        EventOut e;
-        e.seq = rd.getU64();
-        e.monitorId = rd.getU32();
-        e.written = rd.getRange();
-        e.pc = rd.getU64();
-        events_.push_back(e);
-    }
-    std::vector<EventOut> out(events_.begin(), events_.end());
-    events_.clear();
-    return out;
+    while (decoder_.next(frame))
+        queueEvents(frame, "draining events");
+    return std::exchange(events_, {});
 }
 
 bool
@@ -224,19 +215,21 @@ Client::waitForEvents(std::size_t n, int timeout_ms)
             readFrame((int)(deadline - now));
         if (!frame)
             return false;
-        if ((Op)frame->opcode != Op::Event)
-            throw std::runtime_error(
-                "served client: unexpected non-EVT frame while "
-                "waiting for events");
-        PayloadReader rd(frame->body, 0);
-        EventOut e;
-        e.seq = rd.getU64();
-        e.monitorId = rd.getU32();
-        e.written = rd.getRange();
-        e.pc = rd.getU64();
-        events_.push_back(e);
+        queueEvents(*frame, "waiting for events");
     }
     return true;
+}
+
+void
+Client::queueEvents(const Frame &frame, const char *during)
+{
+    if ((Op)frame.opcode != Op::Event) {
+        throw std::runtime_error(
+            std::string("served client: unexpected non-EVT frame while ") +
+            during);
+    }
+    decodeEventFrame(frame, events_);
+    ++event_frames_;
 }
 
 PayloadReader
@@ -253,17 +246,10 @@ Client::call(Op op, const PayloadWriter &payload)
                             "awaiting a reply to ") +
                 opName((std::uint8_t)op));
         switch ((Op)frame->opcode) {
-          case Op::Event: {
-            // Streamed notification overtaking the reply: queue it.
-            PayloadReader rd(frame->body, 0);
-            EventOut e;
-            e.seq = rd.getU64();
-            e.monitorId = rd.getU32();
-            e.written = rd.getRange();
-            e.pc = rd.getU64();
-            events_.push_back(e);
+          case Op::Event:
+            // Streamed notifications overtaking the reply: queue them.
+            queueEvents(*frame, "awaiting a reply");
             continue;
-          }
           case Op::Ok: {
             reply_body_ = std::move(frame->body);
             PayloadReader rd(reply_body_, 0);

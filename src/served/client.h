@@ -23,7 +23,6 @@
 #define EDB_SERVED_CLIENT_H
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -221,15 +220,20 @@ class Client
     /** Orderly goodbye; the server closes after its OK. */
     void bye();
 
-    /** EVT frames received so far, in sequence order. */
+    /** Events received so far, in sequence order; hands over the
+     *  queue, leaving it empty. */
     std::vector<EventOut> takeEvents();
 
     /**
-     * Block until at least `n` EVT frames have been received or
-     * `timeout_ms` passes (false on timeout). Use after RUN with
-     * SUBSCRIBE on: replies can overtake the event stream's tail.
+     * Block until at least `n` events are queued or `timeout_ms`
+     * passes (false on timeout). The server streams every event of a
+     * RUN before its reply, so after RUN the count is already met.
      */
     bool waitForEvents(std::size_t n, int timeout_ms = 5000);
+
+    /** EVT frames decoded over the connection's lifetime (each
+     *  carries a run of events). */
+    std::uint64_t eventFrames() const { return event_frames_; }
 
     // -- raw access for fuzzing ------------------------------------
 
@@ -255,9 +259,14 @@ class Client
      */
     PayloadReader call(Op op, const PayloadWriter &payload);
 
+    /** Queue one EVT frame's events; any other opcode is a protocol
+     *  violation (`during` names the wait it broke). */
+    void queueEvents(const Frame &frame, const char *during);
+
     int fd_ = -1;
     FrameDecoder decoder_;
-    std::deque<EventOut> events_;
+    std::vector<EventOut> events_;
+    std::uint64_t event_frames_ = 0;
     std::vector<std::uint8_t> reply_body_;
     std::uint64_t reply_offset_ = 0;
 };

@@ -150,6 +150,68 @@ encodeFrame(std::vector<std::uint8_t> &out, Op op,
     out.insert(out.end(), body.begin(), body.end());
 }
 
+namespace {
+
+/** Store `v` little-endian at `p`; returns the byte after it. */
+template <typename T>
+std::uint8_t *
+storeLe(std::uint8_t *p, T v)
+{
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        *p++ = (std::uint8_t)(v >> (8 * i));
+    return p;
+}
+
+} // namespace
+
+void
+encodeEventFrame(std::vector<std::uint8_t> &out,
+                 std::span<const EventOut> events)
+{
+    EDB_ASSERT(!events.empty(), "EVT frame with no events");
+    const std::size_t n = events.size();
+    const std::size_t body = evtHeaderBytes + n * evtRowBytes;
+    const std::size_t at = out.size();
+    out.resize(at + frameHeaderBytes + body);
+    std::uint8_t *p = out.data() + at;
+    p = storeLe(p, (std::uint32_t)body);
+    *p++ = (std::uint8_t)Op::Event;
+    p = storeLe(p, events[0].seq);
+    p = storeLe(p, (std::uint32_t)n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const EventOut &e = events[i];
+        EDB_ASSERT(e.seq == events[0].seq + i,
+                   "EVT run breaks at seq %llu",
+                   (unsigned long long)e.seq);
+        p = storeLe(p, e.monitorId);
+        p = storeLe(p, e.written.begin);
+        p = storeLe(p, e.written.end);
+        p = storeLe(p, e.pc);
+    }
+}
+
+void
+decodeEventFrame(const Frame &frame, std::vector<EventOut> &out)
+{
+    PayloadReader rd(frame.body, frame.offset + frameHeaderBytes);
+    const std::uint64_t first = rd.getU64();
+    const std::uint64_t at = rd.offset();
+    const std::uint32_t n = rd.getU32();
+    if (n == 0 || rd.remaining() != (std::size_t)n * evtRowBytes) {
+        throwAt(ErrCode::MalformedPayload, at,
+                "EVT count %u disagrees with %zu row bytes", n,
+                rd.remaining());
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+        EventOut e;
+        e.seq = first + i;
+        e.monitorId = rd.getU32();
+        e.written = rd.getRange();
+        e.pc = rd.getU64();
+        out.push_back(e);
+    }
+}
+
 void
 PayloadWriter::putString(const std::string &s)
 {

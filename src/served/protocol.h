@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -40,8 +41,10 @@ namespace edb::served {
 
 /** Protocol revision; HELLO carries it and the server enforces it.
  *  v2: OPEN_TRACE and STATS trace rows gained a trailing `indexed`
- *  byte reporting whether the mapping carries a .edbi sidecar. */
-constexpr std::uint32_t protocolVersion = 2;
+ *  byte reporting whether the mapping carries a .edbi sidecar.
+ *  v3: one EVT frame carries a run of events with consecutive
+ *  sequence numbers instead of exactly one. */
+constexpr std::uint32_t protocolVersion = 3;
 
 /** Bytes before the body: u32 length + u8 opcode. */
 constexpr std::size_t frameHeaderBytes = 5;
@@ -51,6 +54,16 @@ constexpr std::size_t maxStringBytes = 4096;
 
 /** Default cap on one frame body (quotas may lower it). */
 constexpr std::size_t defaultMaxFrameBytes = 1u << 20;
+
+/** EVT body bytes before the rows: u64 firstSeq + u32 count. */
+constexpr std::size_t evtHeaderBytes = 12;
+/** One EVT row: u32 monitorId, u64 begin, u64 end, u64 pc. */
+constexpr std::size_t evtRowBytes = 28;
+/** Events one EVT frame carries at most. A tenant flushes its outbox
+ *  at this many, so a frame stays far below any frame cap. */
+constexpr std::size_t maxEventsPerFrame = 1024;
+static_assert(evtHeaderBytes + maxEventsPerFrame * evtRowBytes <=
+              64 * 1024);
 
 /** Request opcodes (client -> server). */
 enum class Op : std::uint8_t {
@@ -198,6 +211,25 @@ class FrameDecoder
 /** Serialize one frame (header + body) onto `out`. */
 void encodeFrame(std::vector<std::uint8_t> &out, Op op,
                  const std::vector<std::uint8_t> &body);
+
+/** A notification streamed to a subscribed client. */
+struct EventOut
+{
+    std::uint64_t seq = 0; ///< per-tenant, strictly increasing
+    std::uint32_t monitorId = 0;
+    AddrRange written;
+    Addr pc = 0;
+};
+
+/** Serialize one EVT frame (header + body) carrying `events`, a
+ *  non-empty run with consecutive sequence numbers, onto `out`. */
+void encodeEventFrame(std::vector<std::uint8_t> &out,
+                      std::span<const EventOut> events);
+
+/** Append the events of one EVT frame to `out`. Throws ProtocolError
+ *  (MalformedPayload) on a body whose count disagrees with its size,
+ *  an empty run, or an inverted range. */
+void decodeEventFrame(const Frame &frame, std::vector<EventOut> &out);
 
 /**
  * Body builder: fixed-width little-endian fields plus length-prefixed

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "obs/obs.h"
+#include "sim/block_plan.h"
 
 namespace edb::served {
 
@@ -342,10 +343,22 @@ Tenant::onNotification(const wms::Notification &n)
             EDB_OBS_INC(obsPendingDropped);
         }
         if (subscribed_ && sink_) {
-            sink_(EventOut{next_seq_++, id,
-                           n.written.intersection(mon.range), n.pc});
+            outbox_.push_back(EventOut{next_seq_++, id,
+                                       n.written.intersection(mon.range),
+                                       n.pc});
+            if (outbox_.size() == maxEventsPerFrame)
+                flushOutbox();
         }
     }
+}
+
+void
+Tenant::flushOutbox()
+{
+    if (outbox_.empty())
+        return;
+    sink_(outbox_);
+    outbox_.clear();
 }
 
 std::shared_ptr<const SharedTrace>
@@ -369,20 +382,44 @@ Tenant::runLive(std::uint32_t traceId)
     const std::uint64_t before =
         notifications_.load(std::memory_order_relaxed);
 
-    LiveRunResult res;
-    std::vector<trace::Event> buf(t->mapped.largestBlockEvents());
-    for (std::size_t b = 0; b < t->mapped.blockCount(); ++b) {
-        const auto &blk = t->mapped.block(b);
-        t->mapped.decodeBlock(b, buf.data());
-        for (std::uint64_t i = 0; i < blk.events; ++i) {
-            const trace::Event &e = buf[i];
-            if (e.kind != trace::EventKind::Write)
-                continue; // live mode ignores session install/remove
-            ++res.writes;
-            if (checkWrite(e.range(), e.aux))
-                ++res.hits;
+    // Live mode ignores the trace's own install/remove events, so the
+    // enabled monitors are the whole relevance predicate, fixed for
+    // the walk. Judge them by the word-aligned hull the engine
+    // checks, so a skipped write could never have hit.
+    std::vector<AddrRange> armed;
+    for (const auto &[id, mon] : monitors_) {
+        if (mon.enabled) {
+            armed.push_back(AddrRange(wordAlignDown(mon.range.begin),
+                                      wordAlignUp(mon.range.end)));
         }
     }
+    const sim::FixedPageSet pages(armed);
+    sim::ReplayStats plan;
+    sim::BlockPlanner planner(t->mapped, pages, plan);
+
+    LiveRunResult res;
+    trace::WriteBatch batch;
+    try {
+        while (!planner.done()) {
+            const sim::BlockStep s = planner.next();
+            res.writes += s.writes;
+            if (s.action != sim::BlockAction::Full)
+                continue;
+            t->mapped.decodeBlockBatch(s.block, batch);
+            res.writes += batch.writes;
+            for (std::uint64_t k = 0; k < batch.writes; ++k) {
+                const Addr begin = batch.wrBegin[k];
+                if (checkWrite(AddrRange(begin, begin + batch.wrSize[k]),
+                               batch.wrAux[k]))
+                    ++res.hits;
+            }
+        }
+    } catch (...) {
+        flushOutbox(); // what did fire still streams, seq unbroken
+        throw;
+    }
+    flushOutbox();
+    planner.publish();
     res.notifications =
         notifications_.load(std::memory_order_relaxed) - before;
     runs_.fetch_add(1, std::memory_order_relaxed);
@@ -471,8 +508,7 @@ Tenant::query(const WireQuery &q)
 }
 
 void
-Tenant::subscribe(bool on,
-                  std::function<void(const EventOut &)> sink)
+Tenant::subscribe(bool on, EventSink sink)
 {
     std::lock_guard<std::mutex> lk(mu_);
     subscribed_ = on;

@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -165,15 +166,6 @@ struct ResumeBatch
     std::uint64_t dropped = 0;
 };
 
-/** A notification streamed to a subscribed client. */
-struct EventOut
-{
-    std::uint64_t seq = 0; ///< per-tenant, strictly increasing
-    std::uint32_t monitorId = 0;
-    AddrRange written;
-    Addr pc = 0;
-};
-
 /** Result of a live-monitor RUN. */
 struct LiveRunResult
 {
@@ -263,8 +255,12 @@ class Tenant
     /**
      * Replay every write event of an open trace through the live
      * monitors. Hits accumulate in the pending set (for RESUME) and
-     * stream to the subscriber sink when subscribed. Executes on the
-     * caller's thread — the server wraps it in a pool task.
+     * stream to the subscriber sink when subscribed, in runs of at
+     * most maxEventsPerFrame; the last run reaches the sink before
+     * this returns. Blocks whose page summaries miss every enabled
+     * monitor fold into `writes` undecoded: their writes never reach
+     * the engine. Executes on the caller's thread — the server wraps
+     * it in a pool task.
      */
     LiveRunResult runLive(std::uint32_t traceId);
 
@@ -279,9 +275,11 @@ class Tenant
     /** Answer a wire query over an open trace via edb::query. */
     QueryReply query(const WireQuery &q);
 
-    /** Toggle streaming; the sink receives EventOut from runLive. */
-    void subscribe(bool on,
-                   std::function<void(const EventOut &)> sink);
+    /** Receives each run of consecutive-seq events runLive streams. */
+    using EventSink = std::function<void(std::span<const EventOut>)>;
+
+    /** Toggle streaming to `sink`. */
+    void subscribe(bool on, EventSink sink);
 
     /** @name Stats-visible counters (atomic; never block) */
     /// @{
@@ -320,9 +318,12 @@ class Tenant
 
     /** The engine's notification upcall: attribute the written range
      *  to every enabled monitor it intersects, fold into pending,
-     *  forward to the sink. Called with mu_ held (SoftwareWms
+     *  queue for the sink. Called with mu_ held (SoftwareWms
      *  delivers synchronously from checkWrite). */
     void onNotification(const wms::Notification &n);
+
+    /** Hand the queued events to the sink as one run. mu_ held. */
+    void flushOutbox();
 
     std::shared_ptr<const SharedTrace>
     traceHandle(std::uint32_t traceId);
@@ -354,7 +355,9 @@ class Tenant
     std::uint64_t pending_dropped_ = 0;
     std::uint64_t next_seq_ = 1;
     bool subscribed_ = false;
-    std::function<void(const EventOut &)> sink_;
+    EventSink sink_;
+    /** Events queued for the sink; never left non-empty by runLive. */
+    std::vector<EventOut> outbox_;
 
     std::atomic<std::size_t> monitors_stat_{0};
     std::atomic<std::size_t> traces_stat_{0};

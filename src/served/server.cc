@@ -31,6 +31,7 @@ obs::Counter obsFrames{"served.frames"};
 obs::Counter obsBytesIn{"served.bytes_in"};
 obs::Counter obsBytesOut{"served.bytes_out"};
 obs::Counter obsErrors{"served.errors"};
+/** EVT frames sent; each carries a run of up to maxEventsPerFrame. */
 obs::Counter obsEventsStreamed{"served.events_streamed"};
 obs::Counter obsStats{"served.stats"};
 obs::Counter obsMetrics{"served.metrics"};
@@ -666,8 +667,8 @@ Server::dispatchRequest(Conn &conn, const Frame &frame)
             rd.requireEnd();
             Conn *raw = &conn;
             tenant->subscribe(
-                on, [this, raw](const EventOut &e) {
-                    sendEvent(*raw, e);
+                on, [this, raw](std::span<const EventOut> events) {
+                    sendEvents(*raw, events);
                 });
             return sendOk(conn, op, PayloadWriter{});
           }
@@ -719,16 +720,12 @@ Server::sendErr(Conn &conn, std::uint8_t req_op, ErrCode code,
 }
 
 bool
-Server::sendEvent(Conn &conn, const EventOut &event)
+Server::sendEvents(Conn &conn, std::span<const EventOut> events)
 {
     EDB_OBS_INC(obsEventsStreamed);
-    PayloadWriter w;
-    w.putU64(event.seq);
-    w.putU32(event.monitorId);
-    w.putU64(event.written.begin);
-    w.putU64(event.written.end);
-    w.putU64(event.pc);
-    return sendFrame(conn, Op::Event, w.bytes());
+    std::vector<std::uint8_t> wire;
+    encodeEventFrame(wire, events);
+    return sendWire(conn, wire);
 }
 
 bool
@@ -738,6 +735,12 @@ Server::sendFrame(Conn &conn, Op op,
     std::vector<std::uint8_t> wire;
     wire.reserve(frameHeaderBytes + body.size());
     encodeFrame(wire, op, body);
+    return sendWire(conn, wire);
+}
+
+bool
+Server::sendWire(Conn &conn, const std::vector<std::uint8_t> &wire)
+{
     std::lock_guard<std::mutex> lk(conn.write_mu);
     if (conn.dead.load(std::memory_order_acquire))
         return false;

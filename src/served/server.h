@@ -134,9 +134,12 @@ class Server
                 const PayloadWriter &payload);
     bool sendErr(Conn &conn, std::uint8_t req_op, ErrCode code,
                  std::uint64_t offset, const std::string &message);
-    bool sendEvent(Conn &conn, const EventOut &event);
+    /** One EVT frame carrying `events` (consecutive seq numbers). */
+    bool sendEvents(Conn &conn, std::span<const EventOut> events);
     bool sendFrame(Conn &conn, Op op,
                    const std::vector<std::uint8_t> &body);
+    /** Write one encoded frame; false once the connection is dead. */
+    bool sendWire(Conn &conn, const std::vector<std::uint8_t> &wire);
 
     ServerOptions options_;
     std::unique_ptr<Registry> registry_;

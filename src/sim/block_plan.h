@@ -24,6 +24,12 @@
  * from the controls its consumer already holds (advance()): the ones
  * the planner decoded for a mixed-block decision, or the ones the
  * consumer decoded to replay or shard the block.
+ *
+ * A second mode plans against a FixedPageSet instead of sessions: the
+ * daemon's live RUN, whose monitors stay put for the whole walk and
+ * which replays writes only. There no control event can change the
+ * set, so every block and superblock whose summary misses it skips,
+ * mixed or not, and no step is ControlOnly or needs advance().
  */
 
 #ifndef EDB_SIM_BLOCK_PLAN_H
@@ -70,36 +76,51 @@ class BlockPlanner
     /** Plan `trace` for `sessions`, tallying into `stats`. */
     BlockPlanner(const trace::MappedTrace &trace,
                  const session::SessionSet &sessions, ReplayStats &stats)
-        : trace_(trace), sessions_(sessions), stats_(stats),
+        : trace_(trace), sessions_(&sessions), stats_(stats),
           scratch_(trace.largestBlockEvents())
+    {
+        stats_.blocksTotal = trace.blockCount();
+    }
+
+    /** Plan `trace`'s writes against the fixed page set `pages`,
+     *  ignoring its control events; `pages` must outlive the planner. */
+    BlockPlanner(const trace::MappedTrace &trace,
+                 const FixedPageSet &pages, ReplayStats &stats)
+        : trace_(trace), fixed_(&pages), stats_(stats)
     {
         stats_.blocksTotal = trace.blockCount();
     }
 
     bool done() const { return next_ >= trace_.blockCount(); }
 
-    /** Decide the step at the cursor and move past it. Every
-     *  ControlOnly and Full step must be followed by advance() over
-     *  the block's controls before the next call. */
+    /** Decide the step at the cursor and move past it. In session
+     *  mode every ControlOnly and Full step must be followed by
+     *  advance() over the block's controls before the next call. */
     BlockStep
     next()
     {
         const std::size_t b = next_;
         const trace::TraceIndex *idx = trace_.index();
-        // Tree descent: a node with no control event cannot change the
-        // monitored set, and its runs cover every member block's.
+        // Tree descent: a node with no control event (or any node,
+        // when controls are ignored) cannot change the monitored set,
+        // and its runs cover every member block's.
         if (idx != nullptr &&
             (b & (trace::traceIndexSuperSpan - 1)) == 0) {
             const trace::IndexNode &super = idx->superOf(b);
-            if (super.pureWrites() && super.writes > 0 &&
-                !pages_.anyMonitored(super.runs.begin(),
-                                     super.runs.size())) {
+            if ((fixed_ != nullptr ||
+                 (super.pureWrites() && super.writes > 0)) &&
+                !monitored(super.runs.begin(), super.runs.size())) {
                 elided_ += super.blocks;
                 return skip(b, super.blocks, super.writes);
             }
         }
         const trace::MappedTrace::Block &blk = trace_.block(b);
         next_ = b + 1;
+        if (fixed_ != nullptr) {
+            if (monitored(blk.runs.begin(), blk.runs.size()))
+                return BlockStep{b, 1, BlockAction::Full, 0, {}};
+            return skip(b, 1, blk.writes);
+        }
         if (blk.writes == 0 ||
             pages_.anyMonitored(blk.runs.begin(), blk.runs.size()))
             return BlockStep{b, 1, BlockAction::Full, 0, {}};
@@ -156,7 +177,14 @@ class BlockPlanner
     bool
     relevant(trace::ObjectId obj) const
     {
-        return !sessions_.sessionsOf(obj).empty();
+        return !sessions_->sessionsOf(obj).empty();
+    }
+
+    bool
+    monitored(const trace::PageRun *runs, std::size_t n) const
+    {
+        return fixed_ != nullptr ? fixed_->anyMonitored(runs, n)
+                                 : pages_.anyMonitored(runs, n);
     }
 
     BlockStep
@@ -169,7 +197,10 @@ class BlockPlanner
     }
 
     const trace::MappedTrace &trace_;
-    const session::SessionSet &sessions_;
+    /** Session mode: the sessions whose objects are relevant. */
+    const session::SessionSet *sessions_ = nullptr;
+    /** Fixed mode: the whole relevance predicate. */
+    const FixedPageSet *fixed_ = nullptr;
     ReplayStats &stats_;
     /** Summary pages of the live session-relevant objects. */
     SummaryPageTracker pages_;

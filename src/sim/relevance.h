@@ -8,14 +8,18 @@
  * planner (block_plan.h) and the trace query planner (src/query).
  * They must agree exactly — a divergence turns a skip into silent
  * data loss — so the refcounted monitored-summary-page set and the
- * install-touches-summary test live here, once.
+ * install-touches-summary test live here, once, beside the fixed page
+ * set the daemon's live RUN plans against.
  */
 
 #ifndef EDB_SIM_RELEVANCE_H
 #define EDB_SIM_RELEVANCE_H
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "trace/event.h"
 #include "trace/trace_format.h"
@@ -140,6 +144,59 @@ class SummaryPageTracker
 
   private:
     util::FlatMap<Addr, std::uint32_t> pages_;
+};
+
+/**
+ * A summary-page set fixed for a whole walk: sorted, disjoint,
+ * inclusive page intervals. The live RUN's relevance predicate — its
+ * monitors cannot change mid-run, so it needs no refcounts, and a
+ * gigabyte-wide monitor costs one interval instead of one table entry
+ * per page.
+ */
+class FixedPageSet
+{
+  public:
+    /** The summary pages of every non-empty range in `ranges`. */
+    explicit FixedPageSet(const std::vector<AddrRange> &ranges)
+    {
+        for (const AddrRange &r : ranges) {
+            if (!r.empty())
+                spans_.push_back(summaryPageSpan(r));
+        }
+        std::sort(spans_.begin(), spans_.end());
+        std::size_t out = 0;
+        for (const auto &s : spans_) {
+            if (out > 0 && s.first <= spans_[out - 1].second + 1)
+                spans_[out - 1].second =
+                    std::max(spans_[out - 1].second, s.second);
+            else
+                spans_[out++] = s;
+        }
+        spans_.resize(out);
+    }
+
+    /** True when any page of `runs` is in the set. */
+    bool
+    anyMonitored(const trace::PageRun *runs, std::size_t n) const
+    {
+        for (std::size_t i = 0; i < n; ++i) {
+            // The first interval not ending before the run starts
+            // overlaps it exactly when it starts before the run ends.
+            const auto it = std::lower_bound(
+                spans_.begin(), spans_.end(), runs[i].firstPage,
+                [](const std::pair<Addr, Addr> &s, Addr page) {
+                    return s.second < page;
+                });
+            if (it != spans_.end() &&
+                it->first < runs[i].firstPage + runs[i].pages) {
+                return true;
+            }
+        }
+        return false;
+    }
+
+  private:
+    std::vector<std::pair<Addr, Addr>> spans_;
 };
 
 } // namespace edb::sim

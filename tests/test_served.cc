@@ -16,6 +16,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -29,7 +34,9 @@
 #include "session/session.h"
 #include "sim/simulator.h"
 #include "testing/random_trace.h"
+#include "trace/index_format.h"
 #include "trace/trace_io.h"
+#include "workload/workload.h"
 
 namespace edb::served {
 namespace {
@@ -63,6 +70,75 @@ TEST(ServedProtocol, FrameRoundtripAcrossSplitFeeds)
     EXPECT_TRUE(got[1].body.empty());
     EXPECT_FALSE(dec.midFrame());
     EXPECT_EQ(dec.consumed(), wire.size());
+}
+
+TEST(ServedProtocol, EventFramesRoundtripThroughChunkedFeeds)
+{
+    // Many batched EVT frames fed in chunks that cut across frame
+    // boundaries: every event comes back, in order, with its seq.
+    std::vector<EventOut> sent;
+    std::vector<std::uint8_t> wire;
+    std::uint64_t seq = 1;
+    for (std::size_t n : {1u, 1024u, 7u, 300u, 1024u, 2u}) {
+        const std::size_t from = sent.size();
+        for (std::size_t i = 0; i < n; ++i, ++seq) {
+            sent.push_back(EventOut{seq, (std::uint32_t)(seq % 5),
+                                    AddrRange(seq * 8, seq * 8 + 4),
+                                    seq * 3});
+        }
+        encodeEventFrame(wire, std::span(sent).subspan(from, n));
+    }
+    FrameDecoder dec;
+    std::vector<EventOut> got;
+    Frame f;
+    for (std::size_t at = 0; at < wire.size(); at += 4093) {
+        dec.feed(wire.data() + at, std::min<std::size_t>(4093,
+                                                         wire.size() - at));
+        while (dec.next(f)) {
+            ASSERT_EQ((Op)f.opcode, Op::Event);
+            EXPECT_LE(f.body.size(),
+                      evtHeaderBytes + maxEventsPerFrame * evtRowBytes);
+            decodeEventFrame(f, got);
+        }
+    }
+    EXPECT_FALSE(dec.midFrame());
+    ASSERT_EQ(got.size(), sent.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].seq, sent[i].seq);
+        EXPECT_EQ(got[i].monitorId, sent[i].monitorId);
+        EXPECT_EQ(got[i].written, sent[i].written);
+        EXPECT_EQ(got[i].pc, sent[i].pc);
+    }
+}
+
+TEST(ServedProtocol, EventFrameCountMustMatchItsRows)
+{
+    const EventOut e{9, 1, AddrRange(16, 20), 0x40};
+    std::vector<std::uint8_t> wire;
+    encodeEventFrame(wire, {&e, 1});
+    Frame f;
+    f.opcode = (std::uint8_t)Op::Event;
+    f.body.assign(wire.begin() + frameHeaderBytes, wire.end());
+    std::vector<EventOut> out;
+    decodeEventFrame(f, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].seq, 9u);
+
+    // A count claiming two rows over one row's bytes, then a zero
+    // count with no rows: both malformed, pointing at the count.
+    for (std::uint8_t count : {2, 0}) {
+        Frame bad = f;
+        bad.body[8] = count;
+        if (count == 0)
+            bad.body.resize(evtHeaderBytes);
+        try {
+            decodeEventFrame(bad, out);
+            FAIL() << "count " << (int)count << " accepted";
+        } catch (const ProtocolError &err) {
+            EXPECT_EQ(err.code(), ErrCode::MalformedPayload);
+            EXPECT_EQ(err.offset(), frameHeaderBytes + 8);
+        }
+    }
 }
 
 TEST(ServedProtocol, PayloadReaderReportsAbsoluteOffsets)
@@ -173,13 +249,15 @@ TEST(ServedProtocol, OversizedBodyDiscardedAsItArrives)
 class ServedTraceFile
 {
   public:
-    explicit ServedTraceFile(std::uint64_t seed, int steps = 1500)
+    explicit ServedTraceFile(
+        std::uint64_t seed, int steps = 1500,
+        std::size_t blockEvents = trace::defaultBlockEvents)
     {
         path_ = ::testing::TempDir() + "/edb_served_test." +
                 std::to_string(::getpid()) + "." +
                 std::to_string(seed) + ".trc";
         trace::Trace t = testgen::randomTrace(seed, steps);
-        trace::saveTrace(t, path_);
+        trace::saveTrace(t, path_, {.blockEvents = blockEvents});
     }
 
     ~ServedTraceFile() { std::remove(path_.c_str()); }
@@ -339,6 +417,316 @@ TEST(ServedRegistry, SessionRunMatchesOracleSubset)
                  ServedError); // unknown trace id
 }
 
+// ---- planned live walk vs. a brute-force write scan ----------------
+
+/** One monitor of a live-walk case. */
+struct WalkMonitor
+{
+    AddrRange range;
+    bool enabled = true;
+};
+
+/** What a live RUN must report, derived from the write rows alone. */
+struct WalkOracle
+{
+    LiveRunResult run;
+    /** Stream order, seq numbered from 1. */
+    std::vector<EventOut> events;
+    /** Notifications per monitor id (what RESUME drains). */
+    std::map<std::uint32_t, std::uint64_t> perMonitor;
+};
+
+/** A write hits when it touches the word-aligned hull of an enabled
+ *  monitor (what the engine checks); each hit then notifies every
+ *  enabled monitor whose bytes it touches, in monitor-id order. */
+WalkOracle
+bruteForceWalk(const trace::Trace &t,
+               const std::map<std::uint32_t, WalkMonitor> &mons)
+{
+    WalkOracle o;
+    for (const trace::Event &e : t.events) {
+        if (e.kind != trace::EventKind::Write)
+            continue;
+        ++o.run.writes;
+        const AddrRange w = e.range();
+        bool hit = false;
+        for (const auto &[id, m] : mons) {
+            const AddrRange hull(wordAlignDown(m.range.begin),
+                                 wordAlignUp(m.range.end));
+            hit = hit || (m.enabled && !w.empty() && w.intersects(hull));
+        }
+        if (!hit)
+            continue;
+        ++o.run.hits;
+        for (const auto &[id, m] : mons) {
+            if (!m.enabled || !m.range.intersects(w))
+                continue;
+            ++o.run.notifications;
+            ++o.perMonitor[id];
+            o.events.push_back(EventOut{o.events.size() + 1, id,
+                                        w.intersection(m.range), e.aux});
+        }
+    }
+    return o;
+}
+
+/**
+ * Four small monitors over `t`'s writes: a hot word pair; an
+ * unaligned range straddling an 8 KiB summary-page boundary that
+ * writes land just past; a written range (disabled by the cases);
+ * and a range above every write.
+ */
+std::vector<AddrRange>
+walkMonitors(const trace::Trace &t)
+{
+    std::vector<const trace::Event *> writes;
+    Addr top = 0;
+    for (const trace::Event &e : t.events) {
+        if (e.kind == trace::EventKind::Write && e.size > 0) {
+            writes.push_back(&e);
+            top = std::max(top, e.begin + e.size);
+        }
+    }
+    EXPECT_FALSE(writes.empty());
+    const auto at = [&](double f) -> const trace::Event & {
+        return *writes[(std::size_t)(f * (double)(writes.size() - 1))];
+    };
+    constexpr Addr page = trace::summaryPageBytes;
+    Addr edge = (at(0.45).begin | (page - 1)) + 1;
+    for (const trace::Event *e : writes) {
+        if (e->begin >= page && (e->begin & (page - 1)) < 4) {
+            edge = e->begin & ~(page - 1);
+            break;
+        }
+    }
+    const Addr hot = wordAlignDown(at(0.3).begin);
+    const trace::Event &off = at(0.6);
+    return {AddrRange(hot, hot + 2 * wordBytes),
+            AddrRange(edge - 3, edge + 5),
+            AddrRange(off.begin, off.begin + off.size),
+            AddrRange(top + (1u << 20), top + (1u << 20) + 16)};
+}
+
+enum class Sidecar { Absent, Fresh, Stale };
+
+class LiveWalkDifferential
+    : public ::testing::TestWithParam<std::string_view>
+{
+};
+
+TEST_P(LiveWalkDifferential, MatchesBruteForceWriteScan)
+{
+    const trace::Trace t =
+        workload::runTraced(*workload::makeWorkload(GetParam()));
+    const std::string path = ::testing::TempDir() + "/edb_served_walk." +
+                             std::string(GetParam()) + "." +
+                             std::to_string(::getpid()) + ".trc";
+    const std::string sidecar = trace::traceIndexPathFor(path);
+    const std::vector<AddrRange> ranges = walkMonitors(t);
+
+    for (Sidecar state : {Sidecar::Absent, Sidecar::Fresh,
+                          Sidecar::Stale}) {
+        std::remove(sidecar.c_str());
+        if (state == Sidecar::Stale) {
+            // An index of the same events in other block sizes: its
+            // digest pins the other bytes, so it must not attach.
+            trace::WriteOptions other;
+            other.blockEvents = 1000;
+            trace::saveTrace(t, path, other);
+            trace::TraceIndex idx =
+                trace::buildTraceIndex(trace::MappedTrace(path));
+            trace::saveTraceIndex(idx, sidecar);
+        }
+        trace::saveTrace(t, path);
+        if (state == Sidecar::Fresh) {
+            trace::TraceIndex idx =
+                trace::buildTraceIndex(trace::MappedTrace(path));
+            trace::saveTraceIndex(idx, sidecar);
+        }
+        for (std::size_t k = 1; k <= ranges.size(); ++k) {
+            SCOPED_TRACE(::testing::Message()
+                         << "sidecar state " << (int)state << ", "
+                         << k << " monitor(s)");
+            Registry reg;
+            auto tenant = reg.hello("walk");
+            const OpenResult open = tenant->openTrace(path);
+            EXPECT_EQ(open.indexed, state == Sidecar::Fresh &&
+                                        trace::traceIndexEnabled());
+            std::map<std::uint32_t, WalkMonitor> mons;
+            for (std::size_t i = 0; i < k; ++i) {
+                const std::uint32_t id = tenant->install(ranges[i]);
+                mons[id] = WalkMonitor{ranges[i], i != 2};
+                if (i == 2)
+                    tenant->disable(id);
+            }
+            std::vector<EventOut> got;
+            tenant->subscribe(true, [&](std::span<const EventOut> run) {
+                EXPECT_GT(run.size(), 0u);
+                EXPECT_LE(run.size(), maxEventsPerFrame);
+                got.insert(got.end(), run.begin(), run.end());
+            });
+
+            const LiveRunResult run = tenant->runLive(open.traceId);
+            const WalkOracle want = bruteForceWalk(t, mons);
+            EXPECT_EQ(run.writes, t.totalWrites);
+            EXPECT_EQ(run.writes, want.run.writes);
+            EXPECT_EQ(run.hits, want.run.hits);
+            EXPECT_EQ(run.notifications, want.run.notifications);
+            ASSERT_EQ(got.size(), want.events.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].seq, want.events[i].seq);
+                ASSERT_EQ(got[i].monitorId, want.events[i].monitorId)
+                    << "event " << i;
+                ASSERT_EQ(got[i].written, want.events[i].written)
+                    << "event " << i;
+                ASSERT_EQ(got[i].pc, want.events[i].pc) << "event " << i;
+            }
+
+            const ResumeBatch batch = tenant->resume();
+            EXPECT_EQ(batch.dropped, 0u);
+            ASSERT_EQ(batch.hits.size(), want.perMonitor.size());
+            for (const PendingHit &h : batch.hits)
+                EXPECT_EQ(h.count, want.perMonitor.at(h.monitorId))
+                    << "monitor " << h.monitorId;
+            if (k == 1) {
+                EXPECT_GT(want.run.hits, 0u)
+                    << "the hot monitor never hit";
+            }
+            reg.bye(tenant);
+        }
+    }
+    std::remove(sidecar.c_str());
+    std::remove(path.c_str());
+}
+
+// "Served" prefix: the TSan job's `Served*` filter runs this suite.
+INSTANTIATE_TEST_SUITE_P(
+    Served, LiveWalkDifferential,
+    ::testing::ValuesIn(workload::workloadNames()),
+    [](const ::testing::TestParamInfo<std::string_view> &info) {
+        return std::string(info.param);
+    });
+
+TEST(ServedRegistry, RunFailingMidWalkStillStreamsWhatFired)
+{
+    // A trace whose last block with writes opens but fails to
+    // decode: the live RUN throws there, after every earlier block's
+    // notifications.
+    ServedTraceFile file(7006, 4000, /*blockEvents=*/256);
+    std::string bytes;
+    {
+        std::ifstream in(file.path(), std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const trace::MappedTrace good(file.path());
+    std::size_t target = good.blockCount();
+    while (target > 0 && good.block(target - 1).writes == 0)
+        --target;
+    ASSERT_GT(target, 2u);
+    const trace::MappedTrace::Block &last = good.block(target - 1);
+    const std::string bad = file.path() + ".bad";
+    bool found = false;
+    for (std::uint64_t at = last.offset + last.bytes; !found &&
+                                                      at-- > last.offset;) {
+        std::string flipped = bytes;
+        flipped[at] = (char)(flipped[at] ^ 0x5a);
+        std::ofstream(bad, std::ios::binary) << flipped;
+        try {
+            const trace::MappedTrace m(bad);
+            trace::WriteBatch batch;
+            m.decodeBlockBatch(target - 1, batch);
+        } catch (const trace::TraceError &) {
+            // Reject flips the eager open already catches.
+            try {
+                const trace::MappedTrace m(bad);
+                found = true;
+            } catch (const trace::TraceError &) {
+            }
+        }
+    }
+    ASSERT_TRUE(found) << "no decode-time corruption in the last block";
+
+    Quotas q;
+    q.maxMonitorBytes = 1ull << 40;
+    Registry reg(q);
+    auto t = reg.hello("t");
+    const OpenResult open = t->openTrace(bad);
+    t->install(file.writeSpan());
+    std::vector<EventOut> got;
+    t->subscribe(true, [&](std::span<const EventOut> run) {
+        got.insert(got.end(), run.begin(), run.end());
+    });
+    EXPECT_THROW(t->runLive(open.traceId), trace::TraceError);
+    // Everything that fired before the bad block reached the sink,
+    // gap-free, and RESUME agrees with it.
+    ASSERT_FALSE(got.empty());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i].seq, i + 1);
+    const ResumeBatch batch = t->resume();
+    ASSERT_EQ(batch.hits.size(), 1u);
+    EXPECT_EQ(batch.hits[0].count, got.size());
+
+    // The next RUN continues the sequence.
+    const OpenResult fine = t->openTrace(file.path());
+    const LiveRunResult run = t->runLive(fine.traceId);
+    ASSERT_EQ(got.size(), batch.hits[0].count + run.notifications);
+    EXPECT_EQ(got.back().seq, got.size());
+    reg.bye(t);
+    std::remove(bad.c_str());
+}
+
+TEST(ServedRegistry, AdaptiveLiveRunMatchesSoftware)
+{
+    ServedTraceFile file(7005, 6000);
+    const AddrRange span = file.writeSpan();
+    const std::vector<AddrRange> ranges = {
+        span, AddrRange(span.begin + 6, span.begin + 30),
+        AddrRange(span.begin + (span.size() / 2),
+                  span.begin + (span.size() / 2) + 64)};
+    Quotas q;
+    q.maxMonitorBytes = 1ull << 40;
+
+    struct Outcome
+    {
+        LiveRunResult run;
+        std::vector<EventOut> events;
+        ResumeBatch batch;
+    };
+    const auto live = [&](Engine engine) {
+        Registry reg(q, engine);
+        auto tenant = reg.hello("engine");
+        const OpenResult open = tenant->openTrace(file.path());
+        std::vector<std::uint32_t> ids;
+        for (const AddrRange &r : ranges)
+            ids.push_back(tenant->install(r));
+        tenant->disable(ids[1]);
+        Outcome out;
+        tenant->subscribe(true, [&](std::span<const EventOut> run) {
+            out.events.insert(out.events.end(), run.begin(), run.end());
+        });
+        out.run = tenant->runLive(open.traceId);
+        out.batch = tenant->resume();
+        return out;
+    };
+    const Outcome sw = live(Engine::Software);
+    const Outcome ad = live(Engine::Adaptive);
+    EXPECT_GT(sw.run.hits, 0u);
+    EXPECT_EQ(ad.run.writes, sw.run.writes);
+    EXPECT_EQ(ad.run.hits, sw.run.hits);
+    EXPECT_EQ(ad.run.notifications, sw.run.notifications);
+    ASSERT_EQ(ad.events.size(), sw.events.size());
+    for (std::size_t i = 0; i < sw.events.size(); ++i) {
+        ASSERT_EQ(ad.events[i].seq, sw.events[i].seq);
+        ASSERT_EQ(ad.events[i].monitorId, sw.events[i].monitorId);
+        ASSERT_EQ(ad.events[i].written, sw.events[i].written);
+    }
+    ASSERT_EQ(ad.batch.hits.size(), sw.batch.hits.size());
+    for (std::size_t i = 0; i < sw.batch.hits.size(); ++i) {
+        EXPECT_EQ(ad.batch.hits[i].monitorId, sw.batch.hits[i].monitorId);
+        EXPECT_EQ(ad.batch.hits[i].count, sw.batch.hits[i].count);
+    }
+}
+
 // ---- socket server -------------------------------------------------
 
 class ServedServerTest : public ::testing::Test
@@ -435,6 +823,22 @@ TEST_F(ServedServerTest, BadVersionIsTypedAndRecoverable)
     } catch (const ClientError &e) {
         EXPECT_EQ(e.code(), ErrCode::AlreadyHello);
     }
+    c.bye();
+}
+
+TEST_F(ServedServerTest, PreviousVersionHelloIsTypedBadVersion)
+{
+    // A v2 client would misread v3's batched EVT frames, so the
+    // server turns it away typed rather than streaming at it.
+    Client c;
+    c.connect(server_->socketPath());
+    try {
+        c.hello("old", 2);
+        FAIL() << "v2 HELLO accepted";
+    } catch (const ClientError &e) {
+        EXPECT_EQ(e.code(), ErrCode::BadVersion);
+    }
+    EXPECT_EQ(c.hello("new").version, 3u);
     c.bye();
 }
 
@@ -652,15 +1056,17 @@ TEST_F(ServedServerTest, NotificationStreamIsOrderedAndComplete)
     EXPECT_EQ(run.hits, run.writes);
     ASSERT_GT(run.notifications, 0u);
 
-    // Every notification streams as one EVT; the engine delivers them
-    // before the RUN reply, so they are all on the wire already.
-    ASSERT_TRUE(c.waitForEvents((std::size_t)run.notifications));
+    // Every notification streams in a batched EVT frame, all of them
+    // before the RUN reply: the client queued them while it waited.
     std::vector<EventOut> events = c.takeEvents();
     ASSERT_EQ(events.size(), (std::size_t)run.notifications);
     for (std::size_t i = 0; i < events.size(); ++i) {
         EXPECT_EQ(events[i].seq, i + 1); // per-tenant, gap-free
         EXPECT_FALSE(events[i].written.empty());
     }
+    const std::uint64_t frames = c.eventFrames();
+    EXPECT_EQ(frames, (run.notifications + maxEventsPerFrame - 1) /
+                          maxEventsPerFrame);
 
     // RESUME coalesced the same hits into one batch entry.
     const ResumeReply batch = c.resume();
@@ -672,6 +1078,60 @@ TEST_F(ServedServerTest, NotificationStreamIsOrderedAndComplete)
     c.subscribe(false);
     c.run(open.traceId);
     EXPECT_TRUE(c.takeEvents().empty());
+    c.bye();
+}
+
+TEST_F(ServedServerTest, BatchedStreamIsGapFreeAcrossFrames)
+{
+    // A trace long enough that one monitor over every write streams
+    // several frames.
+    const ServedTraceFile big(9002, 8000);
+    Client c = connected("alice");
+    const OpenResult open = c.openTrace(big.path());
+    c.install(big.writeSpan());
+    c.subscribe(true);
+
+    // Drive RUN by hand so the frames are seen as they arrive.
+    PayloadWriter w;
+    w.putU32(open.traceId);
+    w.putU32(0);
+    c.sendFrame(Op::Run, w.bytes());
+    std::vector<EventOut> events;
+    std::size_t frames = 0;
+    std::optional<Frame> f;
+    while ((f = c.readFrame()) && (Op)f->opcode == Op::Event) {
+        const std::size_t before = events.size();
+        decodeEventFrame(*f, events);
+        const std::size_t n = events.size() - before;
+        EXPECT_GE(n, 1u);
+        EXPECT_LE(n, maxEventsPerFrame);
+        // Each frame continues exactly where the previous one ended.
+        EXPECT_EQ(events[before].seq, before + 1);
+        ++frames;
+    }
+    ASSERT_TRUE(f.has_value());
+    ASSERT_EQ((Op)f->opcode, Op::Ok); // every EVT came before the OK
+    PayloadReader rd(f->body, 0);
+    EXPECT_EQ(rd.getU8(), (std::uint8_t)Op::Run);
+    EXPECT_EQ(rd.getU8(), 0); // live mode
+    const std::uint64_t writes = rd.getU64();
+    const std::uint64_t hits = rd.getU64();
+    const std::uint64_t notifications = rd.getU64();
+    EXPECT_EQ(hits, writes);
+    EXPECT_EQ(notifications, hits);
+    ASSERT_GT(notifications, 2 * maxEventsPerFrame);
+    ASSERT_EQ(events.size(), notifications);
+    EXPECT_GT(frames, 1u);
+    EXPECT_LT(frames, notifications);
+    for (std::size_t i = 0; i < events.size(); ++i)
+        ASSERT_EQ(events[i].seq, i + 1);
+
+    // The next RUN's stream continues the sequence.
+    const RunReply again = c.run(open.traceId);
+    const std::vector<EventOut> more = c.takeEvents();
+    ASSERT_EQ(more.size(), again.notifications);
+    EXPECT_EQ(more.front().seq, notifications + 1);
+    EXPECT_EQ(more.back().seq, notifications + again.notifications);
     c.bye();
 }
 

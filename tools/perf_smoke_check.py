@@ -251,13 +251,17 @@ def check_served(path):
     the daemon serialized behind a lock or stopped streaming, not
     scheduler jitter.
 
-    The sampler block (when present) compares the same notify phase
-    with the telemetry sampler off vs ticking at 100 ms; acceptance
-    is <= 5% overhead, but median-of-reps timing on a shared runner
-    is noisier than that, so the gate is the 1.5x cliff — tripping
-    it means the sampler serialized the request path (took a lock
-    the dispatch envelope contends on), not that a tick cost a few
-    microseconds.
+    The sampler block (when present) compares the same notify round
+    with the telemetry sampler off vs ticking at 100 ms, in
+    interleaved pairs; acceptance is <= 5% overhead, but timing on a
+    shared runner is noisier than that, so the gate is the 1.5x cliff
+    on the median pair ratio — tripping it means the sampler
+    serialized the request path (took a lock the dispatch envelope
+    contends on), not that a tick cost a few microseconds.
+
+    Batching gate: EVT frames carry runs of notifications, so a round
+    that streamed one notification per frame (notifications / frames
+    of 1.0, or no frame count at all) means batching is off.
     """
     rc, data = load_envelope(path)
     if not data.get("identical", False):
@@ -276,6 +280,13 @@ def check_served(path):
             f"{path.name}: notification stream {notify}/s below "
             f"1000/s floor"
         )
+    frames = data.get("evt_frames", 0)
+    per_frame = streamed / frames if frames > 0 else 0.0
+    if per_frame <= 1.0:
+        rc |= fail(
+            f"{path.name}: {streamed} notifications in {frames} EVT "
+            f"frame(s): batching is off"
+        )
     sampler = data.get("sampler", {})
     ratio = sampler.get("notify_ratio")
     if ratio is not None and ratio > 1.5:
@@ -288,7 +299,8 @@ def check_served(path):
         extra = f", sampler ratio {ratio}x" if ratio is not None else ""
         print(
             f"  {path.name}: identical, {conns} conns/s, "
-            f"{notify} notifications/s ({streamed} streamed){extra}"
+            f"{notify} notifications/s ({streamed} streamed, "
+            f"{per_frame:.1f} per EVT frame){extra}"
         )
     return rc
 
